@@ -290,6 +290,10 @@ def _cmd_speed(args: argparse.Namespace) -> int:
 
     from repro.perf import speed
 
+    if args.check and not args.baseline.is_file():
+        print(f"perf gate: baseline {args.baseline} not found; generate it with "
+              f"`python -m repro speed --quick > {args.baseline}`")
+        return 1
     results = speed.run_speed_suite(quick=args.quick)
     if args.check:
         baseline = json.loads(args.baseline.read_text())

@@ -21,12 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 # SLO moved to repro.serving.metrics in the overload PR (the engine needs
 # deadlines for deadline-aware shedding); re-exported here unchanged.
-from repro.serving.metrics import NAN, SLO, jain_index, nan_to_none_dict
-from repro.serving.request import RequestRecord, RequestStatus
+from repro.serving.metrics import SLO, ServingMetrics, summarize
+from repro.serving.request import RequestRecord
 
 __all__ = [
     "SLO",
@@ -36,10 +34,6 @@ __all__ = [
     "ClusterMetrics",
     "summarize_cluster",
 ]
-
-
-def _percentile(values: Sequence[float], q: float) -> float:
-    return float(np.percentile(np.asarray(values), q)) if values else NAN
 
 
 @dataclass(frozen=True)
@@ -112,79 +106,36 @@ class FaultCounters:
     rolling_restarts: int = 0
 
 
-@dataclass(frozen=True)
-class ClusterMetrics:
-    """What a fleet operator reads off a cluster run."""
+#: The :class:`FaultCounters` tallies a :class:`ClusterMetrics` carries.
+_COUNTER_FIELDS = (
+    "crashes", "stalls", "timeouts", "downtime_s",
+    "migration_drops", "migration_corruptions", "link_stalls",
+    "warm_restarts", "cold_restores", "snapshots_taken",
+    "snapshot_corruptions", "snapshot_salvages", "snapshot_bytes",
+    "recovered_requests", "restored_prefill_tokens", "restored_decode_tokens",
+    "drains", "rolling_restarts",
+)
 
-    completed: int
-    total: int
-    makespan: float
-    output_tokens: int
-    throughput_tokens_per_s: float
-    #: Requests per second that finished within the SLO.
-    goodput_rps: float
-    #: Fraction of all submitted requests that met the SLO.
-    slo_attainment: float
-    p50_ttft: float
-    p95_ttft: float
-    p99_ttft: float
-    p50_tpot: float
-    p95_tpot: float
-    p99_tpot: float
-    preemptions: int
-    peak_replicas: int
-    final_replicas: int
-    #: Requests whose retry budget ran out (terminal FAILED).
-    failed: int = 0
-    #: Fault-recovery re-dispatches summed over all requests.
+
+@dataclass(frozen=True)
+class ClusterMetrics(ServingMetrics):
+    """What a fleet operator reads off a cluster run: the serving summary
+    of every request record in the fleet, plus fleet-only state."""
+
+    peak_replicas: int = 0
+    final_replicas: int = 0
+    #: Circuit-breaker trips summed over all replicas.
+    breaker_trips: int = 0
+    #: Fault-recovery re-dispatches and warm recoveries summed over all
+    #: requests.
     retries: int = 0
-    #: Prompt tokens re-prefilled because a fault threw their KV away.
-    wasted_prefill_tokens: int = 0
-    #: Generated tokens lost to fault evictions.
-    wasted_decode_tokens: int = 0
+    recoveries: int = 0
+    # -- FaultCounters tallies (see there) -----------------------------------
     crashes: int = 0
     stalls: int = 0
     timeouts: int = 0
     #: Total scheduled replica downtime (seconds of replica-time lost).
     downtime_s: float = 0.0
-    #: Overload outcomes: admission rejections (cluster- or engine-level)
-    #: and deliberate queue sheds (deadline-doomed / high-water victims).
-    rejected: int = 0
-    shed: int = 0
-    #: Output tokens generated below the method's full KV precision.
-    brownout_tokens: int = 0
-    #: Circuit-breaker trips summed over all replicas.
-    breaker_trips: int = 0
-    #: Queue delay (arrival -> admission) percentiles over admitted work.
-    p50_queue_delay: float = NAN
-    p95_queue_delay: float = NAN
-    p99_queue_delay: float = NAN
-    # -- prefix cache / tenancy (repro.prefix) -------------------------------
-    #: Fleet-wide prefix-cache hit ratio (prefill tokens skipped / tokens
-    #: offered); NaN when no replica ran a pool.
-    prefix_hit_ratio: float = NAN
-    prefill_tokens_saved: int = 0
-    #: Peak pool-resident shared blocks summed over replicas, and
-    #: copy-on-write block copies over all requests.
-    shared_blocks: int = 0
-    cow_copies: int = 0
-    #: Jain fairness index over per-tenant SLO attainment.
-    fairness_jain: float = NAN
-    # -- KV migration (repro.migrate; zero/NaN for unified fleets) -----------
-    #: Completed prefill→decode handoffs and bytes shipped on the link
-    #: (including bytes wasted by dropped/corrupted transfers).
-    migrations: int = 0
-    migrated_bytes: float = 0.0
-    #: Re-sent transfers (drops, destination crashes, no-target waits).
-    migration_retries: int = 0
-    #: Prompt tokens re-prefilled after salvaged corrupt handoffs.
-    salvage_recomputed_tokens: int = 0
-    #: Requests that fell back to decoding on their prefill replica.
-    local_decode_fallbacks: int = 0
-    #: Handoff latency percentiles over successfully migrated requests.
-    p50_handoff_latency: float = NAN
-    p99_handoff_latency: float = NAN
-    #: Link fault tallies (see FaultCounters).
     migration_drops: int = 0
     migration_corruptions: int = 0
     link_stalls: int = 0
@@ -195,14 +146,9 @@ class ClusterMetrics:
     snapshot_corruptions: int = 0
     snapshot_salvages: int = 0
     snapshot_bytes: float = 0.0
-    #: Requests that re-entered through the restore path, and per-request
-    #: warm recoveries summed over all requests.
     recovered_requests: int = 0
-    recoveries: int = 0
-    #: Checkpointed tokens resumed instead of recomputed on restore.
     restored_prefill_tokens: int = 0
     restored_decode_tokens: int = 0
-    #: Operator-initiated fleet operations completed.
     drains: int = 0
     rolling_restarts: int = 0
     replicas: Tuple[ReplicaStats, ...] = field(default=())
@@ -231,73 +177,23 @@ class ClusterMetrics:
             return 1.0
         return min(1.0, max(0.0, 1.0 - self.downtime_s / capacity))
 
-    def as_dict(self) -> dict:
-        return nan_to_none_dict(self._raw_dict())
-
     def _raw_dict(self) -> dict:
-        return {
-            "completed": self.completed,
-            "total": self.total,
-            "makespan_s": self.makespan,
-            "throughput_tok_s": self.throughput_tokens_per_s,
-            "goodput_rps": self.goodput_rps,
-            "slo_attainment": self.slo_attainment,
-            "p50_ttft_s": self.p50_ttft,
-            "p95_ttft_s": self.p95_ttft,
-            "p99_ttft_s": self.p99_ttft,
-            "p50_tpot_s": self.p50_tpot,
-            "p95_tpot_s": self.p95_tpot,
-            "p99_tpot_s": self.p99_tpot,
-            "preemptions": self.preemptions,
-            "peak_replicas": self.peak_replicas,
-            "final_replicas": self.final_replicas,
-            "scale_ups": sum(1 for e in self.scale_events if e.action == "up"),
-            "scale_downs": sum(1 for e in self.scale_events if e.action == "down"),
-            "failed": self.failed,
-            "failed_rate": self.failed_rate,
-            "retries": self.retries,
-            "wasted_prefill_tokens": self.wasted_prefill_tokens,
-            "wasted_decode_tokens": self.wasted_decode_tokens,
-            "crashes": self.crashes,
-            "stalls": self.stalls,
-            "timeouts": self.timeouts,
-            "downtime_s": self.downtime_s,
-            "availability": self.availability,
-            "rejected": self.rejected,
-            "shed": self.shed,
-            "brownout_tokens": self.brownout_tokens,
-            "breaker_trips": self.breaker_trips,
-            "p50_queue_delay_s": self.p50_queue_delay,
-            "p95_queue_delay_s": self.p95_queue_delay,
-            "p99_queue_delay_s": self.p99_queue_delay,
-            "prefix_hit_ratio": self.prefix_hit_ratio,
-            "prefill_tokens_saved": self.prefill_tokens_saved,
-            "shared_blocks": self.shared_blocks,
-            "cow_copies": self.cow_copies,
-            "fairness_jain": self.fairness_jain,
-            "migrations": self.migrations,
-            "migrated_bytes": self.migrated_bytes,
-            "migration_retries": self.migration_retries,
-            "salvage_recomputed_tokens": self.salvage_recomputed_tokens,
-            "local_decode_fallbacks": self.local_decode_fallbacks,
-            "p50_handoff_latency_s": self.p50_handoff_latency,
-            "p99_handoff_latency_s": self.p99_handoff_latency,
-            "migration_drops": self.migration_drops,
-            "migration_corruptions": self.migration_corruptions,
-            "link_stalls": self.link_stalls,
-            "warm_restarts": self.warm_restarts,
-            "cold_restores": self.cold_restores,
-            "snapshots_taken": self.snapshots_taken,
-            "snapshot_corruptions": self.snapshot_corruptions,
-            "snapshot_salvages": self.snapshot_salvages,
-            "snapshot_bytes": self.snapshot_bytes,
-            "recovered_requests": self.recovered_requests,
-            "recoveries": self.recoveries,
-            "restored_prefill_tokens": self.restored_prefill_tokens,
-            "restored_decode_tokens": self.restored_decode_tokens,
-            "drains": self.drains,
-            "rolling_restarts": self.rolling_restarts,
-        }
+        d = super()._raw_dict()
+        d.update(
+            {
+                "peak_replicas": self.peak_replicas,
+                "final_replicas": self.final_replicas,
+                "scale_ups": sum(1 for e in self.scale_events if e.action == "up"),
+                "scale_downs": sum(1 for e in self.scale_events if e.action == "down"),
+                "failed_rate": self.failed_rate,
+                "availability": self.availability,
+                "breaker_trips": self.breaker_trips,
+                "retries": self.retries,
+                "recoveries": self.recoveries,
+            }
+        )
+        d.update((f, getattr(self, f)) for f in _COUNTER_FIELDS)
+        return d
 
 
 def summarize_cluster(
@@ -317,107 +213,31 @@ def summarize_cluster(
 ) -> ClusterMetrics:
     """Aggregate per-replica request records into fleet metrics.
 
-    ``failed_records`` are requests that exhausted their retry budget;
-    they live with the cluster (their last replica evicted them), count
-    toward ``total`` and the fault accounting, and never toward goodput.
-    ``rejected_records`` are requests turned away by *cluster-level*
-    admission before reaching any replica (engine-level rejections and
-    sheds stay in their replica's records); they too count toward
-    ``total`` so conservation is checkable from the returned data.
+    Every per-request field is :func:`repro.serving.metrics.summarize`
+    over all the fleet's records; the fleet-only fields come from the
+    arguments.  ``failed_records`` are requests that exhausted their
+    retry budget; they live with the cluster (their last replica evicted
+    them), count toward ``total`` and the fault accounting, and never
+    toward goodput.  ``rejected_records`` are requests turned away by
+    *cluster-level* admission before reaching any replica (engine-level
+    rejections and sheds stay in their replica's records); they too count
+    toward ``total`` so conservation is checkable from the returned data.
     """
     counters = fault_counters if fault_counters is not None else FaultCounters()
     records = [r for recs in records_by_replica.values() for r in recs]
     records += list(failed_records)
     records += list(rejected_records)
-    finished = [r for r in records if r.status is RequestStatus.FINISHED]
-    ttfts = [r.ttft for r in finished if r.ttft is not None]
-    tpots = [r.tpot for r in finished if r.tpot is not None]
-    delays = [
-        r.admitted_at - r.request.arrival_time
-        for r in records
-        if r.admitted_at is not None
-    ]
-    output_tokens = sum(r.request.gen_len for r in finished)
-    good = sum(1 for r in finished if slo.met_by(r))
-    brownout_tokens = 0
-    if base_kv_bits is not None:
-        brownout_tokens = sum(
-            r.generated
-            for r in records
-            if r.kv_bits is not None and r.kv_bits < base_kv_bits
-        )
-    lookup = sum(r.prefix_lookup_tokens for r in records)
-    saved = sum(r.prefix_hit_tokens for r in records)
-    submitted_by_tenant: Dict[int, int] = {}
-    good_by_tenant: Dict[int, int] = {}
-    for r in records:
-        t = r.request.tenant_id
-        submitted_by_tenant[t] = submitted_by_tenant.get(t, 0) + 1
-        if slo.met_by(r):
-            good_by_tenant[t] = good_by_tenant.get(t, 0) + 1
-    fairness = jain_index(
-        [good_by_tenant.get(t, 0) / n for t, n in submitted_by_tenant.items()]
+    serving = summarize(
+        records, makespan, slo, base_kv_bits, shared_blocks=shared_blocks
     )
-    handoffs = [r.handoff_latency for r in records if r.handoff_latency is not None]
     return ClusterMetrics(
-        completed=len(finished),
-        total=len(records),
-        makespan=makespan,
-        output_tokens=output_tokens,
-        throughput_tokens_per_s=output_tokens / makespan if makespan > 0 else 0.0,
-        goodput_rps=good / makespan if makespan > 0 else 0.0,
-        slo_attainment=good / len(records) if records else 0.0,
-        p50_ttft=_percentile(ttfts, 50),
-        p95_ttft=_percentile(ttfts, 95),
-        p99_ttft=_percentile(ttfts, 99),
-        p50_tpot=_percentile(tpots, 50),
-        p95_tpot=_percentile(tpots, 95),
-        p99_tpot=_percentile(tpots, 99),
-        preemptions=sum(r.preemptions for r in records),
+        **vars(serving),
+        **{f: getattr(counters, f) for f in _COUNTER_FIELDS},
         peak_replicas=peak_replicas,
         final_replicas=final_replicas,
-        failed=sum(1 for r in records if r.status is RequestStatus.FAILED),
-        retries=sum(r.retries for r in records),
-        wasted_prefill_tokens=sum(r.wasted_prefill_tokens for r in records),
-        wasted_decode_tokens=sum(r.wasted_decode_tokens for r in records),
-        crashes=counters.crashes,
-        stalls=counters.stalls,
-        timeouts=counters.timeouts,
-        downtime_s=counters.downtime_s,
-        rejected=sum(1 for r in records if r.status is RequestStatus.REJECTED),
-        shed=sum(1 for r in records if r.status is RequestStatus.SHED),
-        brownout_tokens=brownout_tokens,
         breaker_trips=breaker_trips,
-        p50_queue_delay=_percentile(delays, 50),
-        p95_queue_delay=_percentile(delays, 95),
-        p99_queue_delay=_percentile(delays, 99),
-        prefix_hit_ratio=saved / lookup if lookup else NAN,
-        prefill_tokens_saved=saved,
-        shared_blocks=shared_blocks,
-        cow_copies=sum(r.cow_copies for r in records),
-        fairness_jain=fairness,
-        migrations=sum(r.migrations for r in records),
-        migrated_bytes=sum(r.migrated_bytes for r in records),
-        migration_retries=sum(r.migration_retries for r in records),
-        salvage_recomputed_tokens=sum(r.salvage_recomputed_tokens for r in records),
-        local_decode_fallbacks=sum(1 for r in records if r.local_decode),
-        p50_handoff_latency=_percentile(handoffs, 50),
-        p99_handoff_latency=_percentile(handoffs, 99),
-        migration_drops=counters.migration_drops,
-        migration_corruptions=counters.migration_corruptions,
-        link_stalls=counters.link_stalls,
-        warm_restarts=counters.warm_restarts,
-        cold_restores=counters.cold_restores,
-        snapshots_taken=counters.snapshots_taken,
-        snapshot_corruptions=counters.snapshot_corruptions,
-        snapshot_salvages=counters.snapshot_salvages,
-        snapshot_bytes=counters.snapshot_bytes,
-        recovered_requests=counters.recovered_requests,
+        retries=sum(r.retries for r in records),
         recoveries=sum(r.recoveries for r in records),
-        restored_prefill_tokens=counters.restored_prefill_tokens,
-        restored_decode_tokens=counters.restored_decode_tokens,
-        drains=counters.drains,
-        rolling_restarts=counters.rolling_restarts,
         replicas=tuple(replica_stats),
         scale_events=tuple(scale_events),
     )

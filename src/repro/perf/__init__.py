@@ -17,13 +17,14 @@ Modules:
 * :mod:`repro.perf.gpu` — device specification (A100 defaults).
 * :mod:`repro.perf.counts` — operation/byte counting primitives.
 * :mod:`repro.perf.attention_costs` — per-method attention kernel costs.
-* :mod:`repro.perf.e2e` — whole-model step latency (linear + attention).
+* :mod:`repro.perf.e2e` — model geometry and linear-layer costs.
 * :mod:`repro.perf.memory` — weight/KV footprints, max batch, OOM.
 * :mod:`repro.perf.throughput` — end-to-end tokens/s.
 * :mod:`repro.perf.kernelsim` — tile-level kernel simulator producing the
   phase breakdowns of Figure 1b.
-* :mod:`repro.perf.tp` — tensor-parallel sharding costs (per-layer
-  all-reduce from the link-bandwidth model, pooled replica KV budgets).
+* :mod:`repro.perf.tp` — whole-model step latency (linear + attention,
+  sharded over ``tp`` GPUs with per-layer all-reduces from the
+  link-bandwidth model) and pooled replica KV budgets.
 """
 
 from repro.perf.gpu import GPUSpec, A100_80GB
@@ -34,7 +35,7 @@ from repro.perf.attention_costs import (
     attention_latency,
     METHODS,
 )
-from repro.perf.e2e import ModelGeometry, e2e_step_latency, phase_breakdown
+from repro.perf.e2e import ModelGeometry, phase_breakdown
 from repro.perf.memory import MemoryModel
 from repro.perf.tp import replica_kv_budget, tp_step_latency
 from repro.perf.throughput import generation_throughput, max_throughput
@@ -49,7 +50,6 @@ __all__ = [
     "attention_latency",
     "METHODS",
     "ModelGeometry",
-    "e2e_step_latency",
     "phase_breakdown",
     "MemoryModel",
     "replica_kv_budget",

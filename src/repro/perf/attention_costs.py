@@ -25,7 +25,9 @@ follows from datasheet rates and byte counts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, Optional
+from typing import Dict, Optional, Union
+
+import numpy as np
 
 from repro.perf.counts import OpCounts
 from repro.perf.gpu import GPUSpec, A100_80GB
@@ -65,20 +67,26 @@ FP16_DEQUANT_OPS = 4.0
 
 @dataclass(frozen=True)
 class AttentionGeometry:
-    """Shape of one attention call (one layer, all heads, whole batch)."""
+    """Shape of one attention call (one layer, all heads, whole batch).
+
+    ``kv_len`` may be an int64 array: every element count below is then
+    the scalar formula evaluated element-wise, one lane per context
+    length (the serving engine prices a whole decode stretch that way).
+    """
 
     batch: int
     n_heads: int
     n_kv_heads: int
     head_dim: int
     q_len: int
-    kv_len: int
+    kv_len: Union[int, np.ndarray]
     causal: bool = True
 
     def __post_init__(self) -> None:
         if self.n_heads % self.n_kv_heads != 0:
             raise ValueError("n_heads must be a multiple of n_kv_heads")
-        if min(self.batch, self.head_dim, self.q_len, self.kv_len) <= 0:
+        kv_min = self.kv_len.min() if isinstance(self.kv_len, np.ndarray) else self.kv_len
+        if min(self.batch, self.head_dim, self.q_len, kv_min) <= 0:
             raise ValueError("geometry dimensions must be positive")
 
     @property
@@ -129,43 +137,40 @@ class MethodSpec:
         return replace(self, kv_bits=kv_bits)
 
 
-def _matmul_flops(geom: AttentionGeometry) -> float:
-    """FLOPs of QK^T plus PV (2 ops per MAC each)."""
-    return 4.0 * geom.score_elements * geom.head_dim
-
-
 def _fp16_flash(geom: AttentionGeometry, cache_resident: bool) -> OpCounts:
     """Stock FlashAttention.  ``cache_resident``: KV already in HBM as FP16
     cache (decode) vs produced by the projection (prefill, also written)."""
+    score, kv = geom.score_elements, geom.kv_elements
     c = OpCounts(kernel_launches=1)
-    c.fp16_tc = _matmul_flops(geom)
-    c.fp32_cuda = SOFTMAX_FP32_OPS * geom.score_elements
-    c.bytes_read = 2.0 * (geom.q_elements + geom.kv_elements)
+    c.fp16_tc = 4.0 * score * geom.head_dim  # QK^T plus PV, 2 ops per MAC
+    c.fp32_cuda = SOFTMAX_FP32_OPS * score
+    c.bytes_read = 2.0 * (geom.q_elements + kv)
     c.bytes_written = 2.0 * geom.o_elements
     if not cache_resident:
-        c.bytes_written += 2.0 * geom.kv_elements  # write the FP16 cache
+        c.bytes_written += 2.0 * kv  # write the FP16 cache
     return c
 
 
 def _turbo(geom: AttentionGeometry, kv_bits: float, prefill: bool) -> OpCounts:
+    score, q, kv = geom.score_elements, geom.q_elements, geom.kv_elements
     c = OpCounts(kernel_launches=1)
-    c.int8_tc = _matmul_flops(geom)
-    c.fp16_tc = SAS_FP16_TC_OPS * geom.score_elements
-    c.fp32_cuda = SAS_FP32_OPS * geom.score_elements
+    c.int8_tc = 4.0 * score * geom.head_dim  # QK^T plus PV, 2 ops per MAC
+    c.fp16_tc = SAS_FP16_TC_OPS * score
+    c.fp32_cuda = SAS_FP32_OPS * score
     # Quantize the probability tile for the PV MatMul.
-    c.fp32_cuda += QUANT_FP32_OPS * geom.score_elements
+    c.fp32_cuda += QUANT_FP32_OPS * score
     if prefill:
         # Read FP16 activations from the (fused) projection, quantize all
         # three tiles, write the progressive cache.
-        c.bytes_read = 2.0 * (geom.q_elements + geom.kv_elements)
-        c.fp32_cuda += QUANT_FP32_OPS * (geom.q_elements + geom.kv_elements)
-        c.int_alu = PQ_DEQUANT_INT_OPS * geom.kv_elements  # stage-2 compress
-        c.bytes_written = 2.0 * geom.o_elements + geom.kv_elements * kv_bits / 8.0
+        c.bytes_read = 2.0 * (q + kv)
+        c.fp32_cuda += QUANT_FP32_OPS * (q + kv)
+        c.int_alu = PQ_DEQUANT_INT_OPS * kv  # stage-2 compress
+        c.bytes_written = 2.0 * geom.o_elements + kv * kv_bits / 8.0
     else:
         # Read the compressed cache, dequantize to INT8 in integer math.
-        c.bytes_read = 2.0 * geom.q_elements + geom.kv_elements * kv_bits / 8.0
-        c.fp32_cuda += QUANT_FP32_OPS * geom.q_elements
-        c.int_alu = PQ_DEQUANT_INT_OPS * geom.kv_elements
+        c.bytes_read = 2.0 * q + kv * kv_bits / 8.0
+        c.fp32_cuda += QUANT_FP32_OPS * q
+        c.int_alu = PQ_DEQUANT_INT_OPS * kv
         c.bytes_written = 2.0 * geom.o_elements
     return c
 
@@ -175,32 +180,31 @@ def _dequant_pipeline(
 ) -> OpCounts:
     """KIVI/GEAR: separate (de)compression kernels around FP16 flash."""
     flash = _fp16_flash(geom, cache_resident=True)
+    kv = geom.kv_elements
     extra = OpCounts(kernel_launches=1)
     if prefill:
         # Prefill attention is exact over the projection's FP16 output; a
         # compression kernel then reads FP16 KV and writes the packed cache.
-        extra.bytes_read = 2.0 * geom.kv_elements
-        extra.bytes_written = geom.kv_elements * kv_bits / 8.0
-        extra.fp16_cuda = FP16_DEQUANT_OPS * geom.kv_elements
+        extra.bytes_read = 2.0 * kv
+        extra.bytes_written = kv * kv_bits / 8.0
+        extra.fp16_cuda = FP16_DEQUANT_OPS * kv
         if rank > 0:
             # SVD factor build is charged as a few GEMM-equivalent passes.
-            extra.fp16_tc = 8.0 * geom.kv_elements * rank
+            extra.fp16_tc = 8.0 * kv * rank
             extra.bytes_written += 2.0 * rank * (
-                geom.kv_elements / geom.head_dim + geom.kv_elements / geom.kv_len
+                kv / geom.head_dim + kv / geom.kv_len
             )
     else:
         # Decompression kernel: read packed cache, write FP16 KV, then the
         # flash kernel re-reads that FP16 KV (already counted in `flash`).
-        extra.bytes_read = geom.kv_elements * kv_bits / 8.0
-        extra.bytes_written = 2.0 * geom.kv_elements
-        extra.fp16_cuda = FP16_DEQUANT_OPS * geom.kv_elements
+        extra.bytes_read = kv * kv_bits / 8.0
+        extra.bytes_written = 2.0 * kv
+        extra.fp16_cuda = FP16_DEQUANT_OPS * kv
         if rank > 0:
             # Low-rank reconstruction GEMM: A (t x r) @ B (r x d) per head
             # for both K and V, plus factor reads.
-            extra.fp16_tc += 2.0 * rank * geom.kv_elements
-            extra.bytes_read += 2.0 * rank * (
-                geom.kv_elements / geom.head_dim + geom.kv_elements / geom.kv_len
-            )
+            extra.fp16_tc += 2.0 * rank * kv
+            extra.bytes_read += 2.0 * rank * (kv / geom.head_dim + kv / geom.kv_len)
     return flash + extra
 
 

@@ -1,9 +1,10 @@
-"""End-to-end model step latency: projections + FFN + attention.
+"""End-to-end model geometry and the cost of its linear parts.
 
-Combines the per-method attention costs with a cost model of the linear
-parts (QKV/O projections, SwiGLU FFN, LM head), which the paper keeps in
-FP16 ("all other parts of the model are maintained in FP16").  This is
-what Figure 1a/1c and the throughput model consume.
+A cost model of the linear parts (QKV/O projections, SwiGLU FFN, LM
+head), which the paper keeps in FP16 ("all other parts of the model are
+maintained in FP16"), next to the per-method attention costs.  Whole-step
+latency is :func:`repro.perf.tp.tp_step_latency`; this module also holds
+the Figure 1a/1c phase split.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from repro.perf.attention_costs import (
 from repro.perf.counts import OpCounts
 from repro.perf.gpu import GPUSpec, A100_80GB
 
-__all__ = ["ModelGeometry", "linear_counts", "e2e_step_latency", "phase_breakdown"]
+__all__ = ["ModelGeometry", "linear_counts", "phase_breakdown"]
 
 
 @dataclass(frozen=True)
@@ -95,25 +96,6 @@ def linear_counts(model: ModelGeometry, batch: int, q_len: int) -> OpCounts:
     c.bytes_read = model.weight_bytes + 10.0 * tokens * model.d_model * 2.0
     c.bytes_written = 8.0 * tokens * model.d_model * 2.0
     return c
-
-
-def e2e_step_latency(
-    method: MethodSpec,
-    model: ModelGeometry,
-    batch: int,
-    q_len: int,
-    kv_len: int,
-    prefill: bool,
-    gpu: Optional[GPUSpec] = None,
-) -> float:
-    """Latency (s) of one full-model forward step (all layers)."""
-    gpu = gpu if gpu is not None else A100_80GB
-    attn = attention_counts(
-        method, model.attention_geometry(batch, q_len, kv_len), prefill
-    ) * model.n_layers
-    lin = linear_counts(model, batch, q_len)
-    # Attention and linear kernels are dependent (serialized) per layer.
-    return gpu.latency(attn) + gpu.latency(lin)
 
 
 def phase_breakdown(

@@ -23,6 +23,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.perf.counts import OpCounts
 
 __all__ = ["GPUSpec", "A100_80GB", "H100_80GB"]
@@ -80,10 +82,20 @@ class GPUSpec:
         return (counts.bytes_read + counts.bytes_written) / bw
 
     def latency(self, counts: OpCounts) -> float:
-        """Roofline latency in seconds, including per-kernel overheads."""
+        """Roofline latency in seconds, including per-kernel overheads.
+
+        Counts holding arrays (one lane per context length) give an
+        array of latencies, element-wise the same IEEE operations as the
+        scalar call.  Scalar counts keep the builtin ``max``: it returns
+        a Python float and costs a fraction of ``np.maximum``.
+        """
         compute = self.tensor_time(counts) + self.cuda_time(counts)
         mem = self.memory_time(counts)
-        return max(compute, mem) + counts.kernel_launches * self.kernel_overhead_us * 1e-6
+        if isinstance(compute, np.ndarray) or isinstance(mem, np.ndarray):
+            peak = np.maximum(compute, mem)
+        else:
+            peak = max(compute, mem)
+        return peak + counts.kernel_launches * self.kernel_overhead_us * 1e-6
 
     def transfer_time(self, nbytes: float) -> float:
         """Seconds to ship ``nbytes`` point-to-point over one link.

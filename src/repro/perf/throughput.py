@@ -13,9 +13,10 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.perf.attention_costs import MethodSpec
-from repro.perf.e2e import ModelGeometry, e2e_step_latency
+from repro.perf.e2e import ModelGeometry
 from repro.perf.gpu import GPUSpec, A100_80GB
 from repro.perf.memory import MemoryModel
+from repro.perf.tp import tp_step_latency
 
 __all__ = ["ThroughputPoint", "generation_throughput", "max_throughput"]
 
@@ -44,10 +45,10 @@ def generation_throughput(
     memory = memory if memory is not None else MemoryModel(model, gpu)
     if not memory.fits(method, batch, prompt_len + gen_len):
         return ThroughputPoint(batch=batch, tokens_per_second=0.0, latency_seconds=float("inf"), oom=True)
-    total = e2e_step_latency(method, model, batch, prompt_len, prompt_len, prefill=True, gpu=gpu)
+    total = tp_step_latency(method, model, batch, prompt_len, prompt_len, prefill=True, gpu=gpu)
     # Decode at the trapezoidal-midpoint KV length.
     mid_kv = prompt_len + gen_len // 2
-    total += gen_len * e2e_step_latency(method, model, batch, 1, mid_kv, prefill=False, gpu=gpu)
+    total += gen_len * tp_step_latency(method, model, batch, 1, mid_kv, prefill=False, gpu=gpu)
     return ThroughputPoint(
         batch=batch,
         tokens_per_second=batch * gen_len / total,

@@ -17,15 +17,16 @@ Megatron-style intra-layer tensor parallelism over ``tp`` GPUs:
   replica pools ``tp`` HBMs: the KV budget grows superlinearly per rank
   because the weight shard shrinks (:func:`replica_kv_budget`).
 
-``tp_step_latency(..., tp=1)`` is exactly
-:func:`repro.perf.e2e.e2e_step_latency` — no collectives, no sharding —
-so the single-GPU serving engine is the ``tp=1`` special case.
+At ``tp=1`` there are no collectives and no sharding, so the single-GPU
+serving engine is the ``tp=1`` special case of :func:`tp_step_latency`.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Optional
+from typing import Optional, Union
+
+import numpy as np
 
 from repro.perf.attention_costs import MethodSpec, attention_counts
 from repro.perf.counts import OpCounts
@@ -63,12 +64,16 @@ def tp_step_latency(
     model: ModelGeometry,
     batch: int,
     q_len: int,
-    kv_len: int,
+    kv_len: Union[int, np.ndarray],
     prefill: bool,
     tp: int = 1,
     gpu: Optional[GPUSpec] = None,
-) -> float:
-    """Latency (s) of one full-model forward step on a ``tp``-way replica."""
+) -> Union[float, np.ndarray]:
+    """Latency (s) of one full-model forward step on a ``tp``-way replica.
+
+    An int64 array ``kv_len`` prices one step per element and returns an
+    array (see :func:`decode_step_latency_batch`).
+    """
     if tp < 1:
         raise ValueError("tp must be >= 1")
     gpu = gpu if gpu is not None else A100_80GB
@@ -93,121 +98,23 @@ def decode_step_latency_batch(
     kv_lens,
     tp: int = 1,
     gpu: Optional[GPUSpec] = None,
-):
-    """Vectorized ``tp_step_latency(..., q_len=1, prefill=False)`` over an
-    array of context lengths.
+) -> np.ndarray:
+    """``tp_step_latency(..., q_len=1, prefill=False)`` over an array of
+    context lengths.
 
-    Returns a float64 array where element ``i`` is **bit-identical** to
-    the scalar ``tp_step_latency(method, model, batch, 1, kv_lens[i],
-    prefill=False, tp, gpu)``: every arithmetic step below mirrors the
-    scalar model's expressions in the same association order, element-wise
-    (NumPy does not fuse or reorder float64 ufunc chains), so each lane
-    performs the same IEEE-754 operations the scalar call would.  The
-    serving simulator's bulk decode advance
-    (:meth:`repro.serving.engine.ServingEngine.decode_steps`) leans on
-    this equivalence to collapse thousands of per-step cost-model calls —
-    the property tests in ``tests/test_speed_exactness.py`` pin it.
-
-    Only decode shapes are supported (``q_len == 1``; causal masking is
-    then a no-op, matching :class:`AttentionGeometry.score_elements`).
+    This is the scalar cost model evaluated once with an array ``kv_len``
+    (:class:`AttentionGeometry` and :meth:`GPUSpec.latency` work
+    element-wise), so element ``i`` is bit-identical to the scalar
+    ``tp_step_latency(method, model, batch, 1, kv_lens[i], prefill=False,
+    tp, gpu)``.  The serving simulator's bulk decode advance
+    (:meth:`repro.serving.engine.ServingEngine.decode_steps`) relies on
+    that to collapse thousands of per-step calls into one;
+    ``tests/test_cost_model_arrays.py`` pins it.
     """
-    import numpy as np
-
-    if tp < 1:
-        raise ValueError("tp must be >= 1")
-    gpu = gpu if gpu is not None else A100_80GB
-    kv = np.asarray(kv_lens, dtype=np.int64)
-    h, hkv, d = model.n_heads, model.n_kv_heads, model.head_dim
-    # AttentionGeometry views, q_len = 1 (decode attends to everything).
-    score = batch * h * kv
-    q_el = batch * h * d
-    kv_el = 2.0 * batch * hkv * kv * d
-    o_el = q_el
-
-    kind = method.kind
-    kv_bits = method.kv_bits
-    # Per-field counts, mirroring attention_counts() expression by
-    # expression (the in-place ``+=`` accumulation order included).
-    if kind == "turbo":
-        launches = 1.0
-        int8_tc = 4.0 * score * d
-        fp16_tc = 8.0 * score  # SAS_FP16_TC_OPS
-        fp32 = 2.0 * score  # SAS_FP32_OPS
-        fp32 = fp32 + 2.0 * score  # QUANT_FP32_OPS (P tile)
-        fp32 = fp32 + 2.0 * q_el  # QUANT_FP32_OPS (query)
-        int_alu = 8.0 * kv_el  # PQ_DEQUANT_INT_OPS
-        fp16_cuda = 0.0 * score
-        bytes_read = 2.0 * q_el + kv_el * kv_bits / 8.0
-        bytes_written = (2.0 * o_el) + 0.0 * score
-    elif kind == "fp16":
-        launches = 1.0
-        int8_tc = 0.0 * score
-        fp16_tc = 4.0 * score * d
-        fp32 = 8.0 * score  # SOFTMAX_FP32_OPS
-        int_alu = 0.0 * score
-        fp16_cuda = 0.0 * score
-        bytes_read = 2.0 * (q_el + kv_el)
-        bytes_written = (2.0 * o_el) + 0.0 * score
-    elif kind == "dequant":
-        launches = 2.0  # flash + decompression kernel
-        int8_tc = 0.0 * score
-        fp16_tc = 4.0 * score * d
-        fp32 = 8.0 * score
-        int_alu = 0.0 * score
-        fp16_cuda = 4.0 * kv_el  # FP16_DEQUANT_OPS
-        bytes_read = 2.0 * (q_el + kv_el) + (kv_el * kv_bits / 8.0)
-        bytes_written = (2.0 * o_el) + (2.0 * kv_el)
-        rank = method.lowrank_rank
-        if rank > 0:
-            fp16_tc = fp16_tc + 2.0 * rank * kv_el
-            bytes_read = bytes_read + 2.0 * rank * (kv_el / d + kv_el / kv)
-    else:
-        raise ValueError(f"unknown method kind: {kind!r}")
-
-    # counts * n_layers, then the tp shard (launches do not shard).
-    nl = model.n_layers
-    launches = launches * nl
-    if tp > 1:
-        # Scalar path: (counts * n_layers) * (1/tp), two multiplies.
-        int8_tc = (int8_tc * nl) * (1.0 / tp)
-        fp16_tc = (fp16_tc * nl) * (1.0 / tp)
-        fp32 = (fp32 * nl) * (1.0 / tp)
-        fp16_cuda = (fp16_cuda * nl) * (1.0 / tp)
-        int_alu = (int_alu * nl) * (1.0 / tp)
-        bytes_read = (bytes_read * nl) * (1.0 / tp)
-        bytes_written = (bytes_written * nl) * (1.0 / tp)
-    else:
-        int8_tc = int8_tc * nl
-        fp16_tc = fp16_tc * nl
-        fp32 = fp32 * nl
-        fp16_cuda = fp16_cuda * nl
-        int_alu = int_alu * nl
-        bytes_read = bytes_read * nl
-        bytes_written = bytes_written * nl
-
-    # GPUSpec.latency, element-wise.
-    tensor_t = fp16_tc / gpu._rate(gpu.fp16_tensor_tflops, gpu.mma_efficiency)
-    tensor_t += int8_tc / gpu._rate(gpu.int8_tensor_tops, gpu.int8_mma_efficiency)
-    cuda_t = fp32 / gpu._rate(gpu.fp32_cuda_tflops, gpu.cuda_efficiency)
-    cuda_t += fp16_cuda / gpu._rate(gpu.fp16_cuda_tflops, gpu.cuda_efficiency)
-    cuda_t += int_alu / gpu._rate(gpu.int_alu_tops, gpu.cuda_efficiency)
-    mem_bw = gpu.hbm_bandwidth_gbps * 1e9 * gpu.mem_efficiency
-    mem_t = (bytes_read + bytes_written) / mem_bw
-    attn_lat = np.maximum(tensor_t + cuda_t, mem_t) + (
-        launches * gpu.kernel_overhead_us * 1e-6
+    return tp_step_latency(
+        method, model, batch, 1, np.asarray(kv_lens, dtype=np.int64),
+        prefill=False, tp=tp, gpu=gpu,
     )
-
-    # The linear stack's cost does not depend on kv_len: one scalar
-    # evaluation through the *same* code path the scalar model uses.
-    lin = linear_counts(model, batch, 1)
-    lin_lat = gpu.latency(shard_counts(lin, tp))
-    total = attn_lat + lin_lat
-    if tp > 1:
-        ar = 2 * model.n_layers * gpu.allreduce_time(
-            allreduce_bytes_per_layer(model, batch, 1), tp
-        )
-        total = total + ar
-    return total
 
 
 def replica_kv_budget(

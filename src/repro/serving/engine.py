@@ -17,7 +17,7 @@ One engine iteration mirrors a vLLM-style step:
    of the waiting queue).
 
 Latencies come from :func:`repro.perf.tp.tp_step_latency` (which reduces
-to :func:`repro.perf.e2e.e2e_step_latency` at ``tp=1``), so the same
+to the unsharded single-GPU step at ``tp=1``), so the same
 calibration behind Figures 6/7a drives the serving behaviour, and a
 replica may be tensor-parallel over several GPUs.
 
@@ -866,6 +866,9 @@ class ServingEngine:
             else:
                 mean_bits = float(np.add.accumulate(bits_col)[-1]) / n_dec
             step_time += self._decode_latency(n_dec, mean_ctx, mean_bits)
+        # Resolve decode positions to ids before the handoff below removes
+        # MIGRATING ids from ``running`` and shifts the positions.
+        decoding = [running[i] for i in dec_pos] if n_dec else []
         if step_time == 0.0 and not n_dec:
             # Nothing processable (all prefilling under chunking with
             # zero-size chunks cannot happen; guard anyway).
@@ -888,11 +891,6 @@ class ServingEngine:
                 self._mark("prefill_ready", f"r{rid}")
 
         # Token bookkeeping + cache growth (with preemption on OOM).
-        if n_dec:
-            decoding = [running[i] for i in dec_pos]
-        else:
-            decoding = []
-
         # Fast path: without a prefix pool there are no COW/shared-block
         # transitions, so the whole batch's bookkeeping is four column
         # scatters plus one allocator commit.  Any OOM along the way (or

@@ -16,8 +16,8 @@ from repro.cluster import (
     make_router,
 )
 from repro.overload import AdmissionConfig, BreakerConfig
-from repro.perf.attention_costs import METHODS
-from repro.perf.e2e import ModelGeometry, e2e_step_latency
+from repro.perf.attention_costs import METHODS, attention_counts
+from repro.perf.e2e import ModelGeometry, linear_counts
 from repro.perf.gpu import A100_80GB
 from repro.perf.tp import (
     allreduce_bytes_per_layer,
@@ -58,10 +58,15 @@ class TestTensorParallelCosts:
         assert s.kernel_launches == 10
 
     def test_tp1_matches_e2e(self, model):
+        # tp=1 is the unsharded step: attention then linear, no collectives.
+        method = METHODS["turbo_mixed"]
         for prefill, (b, q, kv) in ((False, (8, 1, 4096)), (True, (1, 2048, 2048))):
-            assert tp_step_latency(
-                METHODS["turbo_mixed"], model, b, q, kv, prefill, tp=1
-            ) == e2e_step_latency(METHODS["turbo_mixed"], model, b, q, kv, prefill)
+            attn = attention_counts(
+                method, model.attention_geometry(b, q, kv), prefill
+            ) * model.n_layers
+            assert tp_step_latency(method, model, b, q, kv, prefill, tp=1) == (
+                A100_80GB.latency(attn) + A100_80GB.latency(linear_counts(model, b, q))
+            )
 
     def test_latency_decreases_then_saturates(self, model):
         lats = [

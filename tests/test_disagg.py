@@ -241,6 +241,24 @@ class TestMigrationOutcomes:
         assert m.migration_drops == len(wl)
         assert m.local_decode_fallbacks == len(wl)
 
+    def test_local_decode_beside_a_handoff_in_one_step(self, model):
+        """Regression: a prefill replica's step decodes a local-decode
+        fallback while handing another request off.  The handoff shrinks
+        ``running``; the decode batch must be the ids chosen before that
+        (this run used to raise IndexError in ``ServingEngine.step``)."""
+        wl = poisson_workload(
+            200, 1.5, (2048, 6144), (128, 512), rng=np.random.default_rng(21)
+        )
+        sim = _sim(model, ClusterConfig(
+            policy="least_kv", engine=EngineConfig(prefill_chunk=256),
+            faults=FaultConfig(seed=7, migration_drop_rate=0.12),
+            disagg=DisaggConfig(2, 2),
+        ))
+        m = sim.run(wl)
+        _assert_conserved(sim, m, wl)
+        assert m.completed == len(wl)
+        assert m.local_decode_fallbacks >= 1
+
     def test_rejected_handoff_charges_record_waste(self, model):
         """A terminal REJECT at the decode pool must not vanish the
         source's real prefill work from the record's waste counters."""

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.perf.attention_costs import METHODS
-from repro.perf.e2e import ModelGeometry, e2e_step_latency, linear_counts, phase_breakdown
+from repro.perf.e2e import ModelGeometry, linear_counts, phase_breakdown
+from repro.perf.tp import tp_step_latency
 from repro.perf.gpu import A100_80GB
 from repro.perf.kernelsim import simulate_attention_kernel
 from repro.perf.memory import MemoryModel, paper_memory_model
@@ -49,12 +50,12 @@ class TestLinearCounts:
 
 class TestE2E:
     def test_prefill_dominated_by_compute_at_long_ctx(self, model):
-        lat = e2e_step_latency(METHODS["fp16"], model, 1, 32768, 32768, prefill=True)
+        lat = tp_step_latency(METHODS["fp16"], model, 1, 32768, 32768, prefill=True)
         assert lat > 1.0  # seconds of GEMM work
 
     def test_turbo_e2e_faster(self, model):
-        base = e2e_step_latency(METHODS["fp16"], model, 4, 1, 8192, prefill=False)
-        turbo = e2e_step_latency(METHODS["turbo_mixed"], model, 4, 1, 8192, prefill=False)
+        base = tp_step_latency(METHODS["fp16"], model, 4, 1, 8192, prefill=False)
+        turbo = tp_step_latency(METHODS["turbo_mixed"], model, 4, 1, 8192, prefill=False)
         assert turbo < base
 
     def test_phase_breakdown_sums(self, model):

@@ -126,6 +126,13 @@ class TestCli:
         assert main(["speed", "--quick", "--check", "--baseline", str(baseline)]) == 1
         assert "perf gate FAILED" in capsys.readouterr().out
 
+    def test_speed_check_without_baseline_names_the_file(self, tmp_path, capsys):
+        missing = tmp_path / "no_such_baseline.json"
+        assert main(["speed", "--quick", "--check", "--baseline", str(missing)]) == 1
+        out = capsys.readouterr().out.strip().splitlines()
+        assert len(out) == 1
+        assert str(missing) in out[0] and "not found" in out[0]
+
     def test_profile_prints_cumulative_top(self, capsys):
         assert main(["profile", "prefill", "--top", "5"]) == 0
         out = capsys.readouterr().out
