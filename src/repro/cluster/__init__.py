@@ -15,10 +15,12 @@ goodput an SLO-bound deployment extracts from the same GPUs.
   (and replacement of crashed capacity below the fleet floor).
 * :mod:`repro.cluster.faults` — seeded crash/stall/timeout injection with
   retry-with-backoff recovery and graceful degradation.
-* :mod:`repro.cluster.simulator` — the discrete-event fleet loop (on the
-  shared :mod:`repro.sim` kernel, with per-event trace output), with
-  cluster-level admission control and per-replica circuit breakers from
-  :mod:`repro.overload` when configured.
+* :mod:`repro.cluster.simulator` — the discrete-event fleet loop, one for
+  every layout: a fleet is a list of pools (router + autoscaler each),
+  driven by a handler table over the shared :mod:`repro.sim` kernel
+  (with per-event trace output).  Cluster-level admission control
+  and per-replica circuit breakers come from :mod:`repro.overload` when
+  configured.
 * :mod:`repro.cluster.metrics` — SLOs, goodput, tail attainment, and
   availability/degradation accounting under faults and overload
   (rejected/shed/brownout-token counters).

@@ -1,27 +1,36 @@
 """Multi-replica cluster serving simulator.
 
 Composes N tensor-parallel :class:`~repro.cluster.replica.Replica` engines
-behind one router.  Time runs as a discrete-event loop — the fleet's
-timeline of request arrivals, fault-injection events, recovery events,
-and retry re-dispatches lives on one :class:`repro.sim.EventScheduler`
-(the same kernel the engine's closed loop drives), which owns
-same-instant ordering, cancellation, monotonic time, and optional
-per-event trace output:
+organised in pools: a unified fleet is one pool, a disaggregated fleet a
+prefill pool and a decode pool.  Each pool routes and autoscales its own
+members.  Time runs as a discrete-event loop — the fleet's timeline of
+request arrivals, fault-injection events, recovery events, and retry
+re-dispatches lives on one :class:`repro.sim.EventScheduler` (the same
+kernel the engine's closed loop drives), which owns same-instant
+ordering, cancellation, monotonic time, and optional per-event trace
+output.  Every fleet layout runs the same loop, one same-instant batch
+of events at a time:
 
 1. **Synchronise** — before handling the event at time ``t``, every busy
    replica steps forward until its local clock reaches ``t`` (engine
    steps are atomic, so a replica may overshoot slightly — the same
    "decision reads state as of the last completed iteration" staleness a
    real router has); idle replicas jump their clocks to ``t``.
-2. **Autoscale** — the optional queue-depth controller may add a fresh
-   replica or mark one draining (no new dispatches; it finishes what it
-   holds and retires when empty); a fleet that crashes below its floor is
-   topped back up immediately.
-3. **Handle the event** — arrivals and re-dispatches are routed to a
-   dispatchable replica; crash/stall faults hit a victim chosen by the
-   event's salt; recoveries bring replicas back; timeouts pull back
-   requests still waiting for their first token.
-4. **Drain** — after the last event, replicas run to completion.
+   Disaggregated fleets pull the prefill pool forward *before* each
+   instant (a hook the kernel's batch pop runs), so a KV transfer starts
+   at the true prefill-done time, not at the next event.
+2. **Autoscale** — each pool's optional queue-depth controller may add a
+   fresh replica or mark one draining (no new dispatches; it finishes
+   what it holds and retires when empty); a pool that crashes below its
+   floor is topped back up immediately.
+3. **Handle the event** — the handler table maps each scheduled kind to
+   one function: arrivals and re-dispatches are routed to a dispatchable
+   replica; crash/stall faults hit a victim chosen by the event's salt;
+   recoveries bring replicas back; timeouts pull back requests still
+   waiting for their first token; KV handoffs land on the decode pool.
+4. **Drain** — once the kernel is empty, replicas run to completion
+   (disaggregated fleets one step per replica per round, so late
+   handoffs keep flowing as new events).
 
 Fault recovery (see :mod:`repro.cluster.faults`): a crash evicts every
 admitted and queued request on the victim; each evicted request is
@@ -51,7 +60,7 @@ blake2b digest must reproduce seed-for-seed
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.cluster.autoscaler import Autoscaler, AutoscalerConfig
 from repro.cluster.faults import (
@@ -69,7 +78,7 @@ from repro.cluster.metrics import (
     summarize_cluster,
 )
 from repro.cluster.replica import Replica
-from repro.cluster.router import make_router
+from repro.cluster.router import Router, make_router
 from repro.migrate import (
     MigrationConfig,
     build_payload,
@@ -103,6 +112,7 @@ __all__ = [
     "ClusterConfig",
     "ClusterSimulator",
     "DisaggConfig",
+    "Pool",
 ]
 
 # The cluster's closed event taxonomy (see :mod:`repro.sim.kernel`).
@@ -231,6 +241,32 @@ class ClusterConfig:
             raise ValueError("n_replicas must be >= 1")
 
 
+@dataclass
+class Pool:
+    """One routing and autoscaling domain: the replicas of one role."""
+
+    #: ``Replica.role`` of the members: "unified", "prefill" or "decode".
+    role: str
+    router: Router
+    #: ``None`` pins the pool at its initial size.
+    autoscaler: Optional[Autoscaler]
+    #: Initial member count.
+    size: int
+
+    @classmethod
+    def build(
+        cls, role: str, policy: str, autoscaler: Optional[AutoscalerConfig],
+        size: int,
+    ) -> "Pool":
+        scaler = Autoscaler(autoscaler) if autoscaler is not None else None
+        return cls(role, make_router(policy), scaler, size)
+
+    @property
+    def tag(self) -> str:
+        """``ScaleEvent.pool`` and scale-mark prefix ("" when unified)."""
+        return "" if self.role == "unified" else self.role
+
+
 class ClusterSimulator:
     """Serve one arrival stream on a simulated replica fleet."""
 
@@ -258,41 +294,24 @@ class ClusterSimulator:
         self._prefill_config = replace(self._engine_config, prefill_only=True)
         disagg = config.disagg
         if disagg is None:
-            self.replicas: List[Replica] = [
-                self._new_replica(i) for i in range(config.n_replicas)
+            self.pools = [
+                Pool.build("unified", config.policy, config.autoscaler, config.n_replicas)
             ]
-            self.router = make_router(config.policy)
-            self.decode_router = None
-            self.autoscaler = (
-                Autoscaler(config.autoscaler)
-                if config.autoscaler is not None
-                else None
-            )
-            self.prefill_autoscaler = None
-            self.decode_autoscaler = None
         else:
-            self.replicas = [
-                self._new_replica(i, role="prefill")
-                for i in range(disagg.n_prefill)
-            ] + [
-                self._new_replica(disagg.n_prefill + i, role="decode")
-                for i in range(disagg.n_decode)
+            self.pools = [
+                Pool.build("prefill", disagg.prefill_policy,
+                           disagg.prefill_autoscaler, disagg.n_prefill),
+                Pool.build("decode", disagg.decode_policy,
+                           disagg.decode_autoscaler, disagg.n_decode),
             ]
-            # ``router`` places arrivals — the prefill pool's policy; the
-            # decode router places migrated-in handoffs.
-            self.router = make_router(disagg.prefill_policy)
-            self.decode_router = make_router(disagg.decode_policy)
-            self.autoscaler = None
-            self.prefill_autoscaler = (
-                Autoscaler(disagg.prefill_autoscaler)
-                if disagg.prefill_autoscaler is not None
-                else None
-            )
-            self.decode_autoscaler = (
-                Autoscaler(disagg.decode_autoscaler)
-                if disagg.decode_autoscaler is not None
-                else None
-            )
+        #: Arrivals and fault re-dispatches land here; in a disaggregated
+        #: fleet completed prefills migrate to ``decode_pool`` (else None).
+        self.entry_pool = self.pools[0]
+        self.decode_pool = self.pools[1] if disagg is not None else None
+        self.replicas: List[Replica] = []
+        for pool in self.pools:
+            for _ in range(pool.size):
+                self.replicas.append(self._new_replica(len(self.replicas), pool.role))
         self.scale_events: List[ScaleEvent] = []
         self.fault_counters = FaultCounters()
         self.failed: Dict[int, RequestRecord] = {}
@@ -336,7 +355,7 @@ class ClusterSimulator:
         self._downtime_windows: List[Tuple[float, float]] = []
 
     # -- fleet management ---------------------------------------------------
-    def _new_replica(self, replica_id: int, role: str = "unified") -> Replica:
+    def _new_replica(self, replica_id: int, role: str) -> Replica:
         engine_config = (
             self._prefill_config if role == "prefill" else self._engine_config
         )
@@ -350,9 +369,9 @@ class ClusterSimulator:
         """Replicas the fleet can count on: neither draining nor down."""
         return [r for r in self.replicas if r.dispatchable]
 
-    def _pool(self, role: str) -> List[Replica]:
+    def _members(self, pool: Pool) -> List[Replica]:
         """Dispatchable members of one pool."""
-        return [r for r in self.replicas if r.role == role and r.dispatchable]
+        return [r for r in self.replicas if r.role == pool.role and r.dispatchable]
 
     def _step_replica(self, replica: Replica) -> None:
         self._steps += 1
@@ -390,78 +409,47 @@ class ClusterSimulator:
                 replica.engine.clock = t
             replica.advance_to(t)
 
+    def _pull_prefill_pool(self, t_next: float) -> None:
+        """The ``before_instant`` hook of disaggregated fleets' batch pops.
+
+        Prompts that complete between cluster events must start their
+        transfer at the true prefill-completion time (still >= the
+        kernel's clock), not at the next event's time — otherwise every
+        handoff pays event-granularity latency.  A transfer scheduled here
+        may land before ``t_next``; the kernel re-reads the head.
+        """
+        self._advance_fleet_to(t_next, role=self.entry_pool.role)
+        self._collect_handoffs(self.kernel.now)
+
     def _autoscale(self, now: float) -> None:
-        if self.config.disagg is not None:
-            self._autoscale_pool(now, "prefill", self.prefill_autoscaler)
-            self._autoscale_pool(now, "decode", self.decode_autoscaler)
-            return
-        if self.autoscaler is None:
-            return
-        active = self.active_replicas
-        decision = self.autoscaler.decide(now, active)
-        if decision == "up":
-            replica = self._new_replica(len(self.replicas))
-            replica.started_at = now
-            replica.advance_to(now)
-            self.replicas.append(replica)
-            self.peak_replicas = max(self.peak_replicas, len(self.active_replicas))
+        """Each pool's independent scaling decision."""
+        for pool in self.pools:
+            if pool.autoscaler is None:
+                continue
+            members = self._members(pool)
+            decision = pool.autoscaler.decide(now, members)
+            prefix = f"{pool.tag}:" if pool.tag else ""
+            if decision == "up":
+                replica = self._new_replica(len(self.replicas), pool.role)
+                replica.started_at = now
+                replica.advance_to(now)
+                self.replicas.append(replica)
+                self.peak_replicas = max(self.peak_replicas, len(self.active_replicas))
+                n = len(self._members(pool))
+                label = f"{prefix}n={n}"
+            elif decision == "down":
+                victim = pool.autoscaler.pick_victim(members)
+                if victim is None:
+                    continue  # every candidate holds warm cache; skip this round
+                victim.draining = True
+                n = len(self._members(pool))
+                label = f"{prefix}replica{victim.replica_id}:n={n}"
+            else:
+                continue
             self.scale_events.append(
-                ScaleEvent(time=now, action="up", n_active=len(self.active_replicas))
+                ScaleEvent(time=now, action=decision, n_active=n, pool=pool.tag)
             )
-            self.kernel.mark(
-                "scale_up", f"n={len(self.active_replicas)}", time=now
-            )
-        elif decision == "down":
-            victim = self.autoscaler.pick_victim(active)
-            if victim is None:
-                return  # every candidate is warm-cache-vetoed
-            victim.draining = True
-            self.scale_events.append(
-                ScaleEvent(time=now, action="down", n_active=len(self.active_replicas))
-            )
-            self.kernel.mark(
-                "scale_down",
-                f"replica{victim.replica_id}:n={len(self.active_replicas)}",
-                time=now,
-            )
-
-    def _autoscale_pool(
-        self, now: float, role: str, autoscaler: Optional[Autoscaler]
-    ) -> None:
-        """One pool's independent scaling decision (disaggregated mode)."""
-        if autoscaler is None:
-            return
-        pool = self._pool(role)
-        decision = autoscaler.decide(now, pool)
-        if decision == "up":
-            replica = self._new_replica(len(self.replicas), role=role)
-            replica.started_at = now
-            replica.advance_to(now)
-            self.replicas.append(replica)
-            self.peak_replicas = max(self.peak_replicas, len(self.active_replicas))
-            n = len(self._pool(role))
-            self.scale_events.append(
-                ScaleEvent(time=now, action="up", n_active=n, pool=role)
-            )
-            self.kernel.mark("scale_up", f"{role}:n={n}", time=now)
-        elif decision == "down":
-            victim = autoscaler.pick_victim(pool)
-            if victim is None:
-                return  # every candidate holds warm cache; skip this round
-            victim.draining = True
-            n = len(self._pool(role))
-            self.scale_events.append(
-                ScaleEvent(time=now, action="down", n_active=n, pool=role)
-            )
-            self.kernel.mark(
-                "scale_down", f"{role}:replica{victim.replica_id}:n={n}", time=now
-            )
-
-    # -- event plumbing ------------------------------------------------------
-    def _push(
-        self, time: float, kind: str, payload: object, label: str = ""
-    ) -> Event:
-        return self.kernel.schedule(time, kind, payload, label=label)
+            self.kernel.mark(f"scale_{decision}", label, time=now)
 
     # -- overload protection -------------------------------------------------
     def _breaker_for(self, replica: Replica) -> Optional[CircuitBreaker]:
@@ -483,16 +471,26 @@ class ClusterSimulator:
         mean_kv = sum(pressures) / len(pressures) if pressures else float("inf")
         return depth, mean_kv
 
+    def _candidates(self, pool: Pool, now: float) -> List[Replica]:
+        """Dispatchable members of ``pool`` a router may choose from.
+
+        Breakers are advisory at the fleet edge: prefer replicas whose
+        breaker admits traffic, but never leave work unroutable when
+        every breaker is open.
+        """
+        members = self._members(pool)
+        if self.config.breaker is not None:
+            allowed = [r for r in members if self._breaker_for(r).allows(now)]
+            if allowed:
+                return allowed
+        return members
+
     def _cluster_admit(self, record: RequestRecord, now: float) -> bool:
         """Cluster-level admission for a first dispatch.  Returns whether
         dispatch should proceed now (DEFER re-enters the event kernel)."""
         if self.admission is None or record.retries > 0:
             return True
-        targets = (
-            self._pool("prefill")
-            if self.config.disagg is not None
-            else self.active_replicas
-        )
+        targets = self._members(self.entry_pool)
         if not targets:
             # Fleet-down handling (park + retry) owns this case; admission
             # re-evaluates when the record is re-offered after recovery.
@@ -504,7 +502,7 @@ class ClusterSimulator:
             self.rejected[record.request.request_id] = record
             return False
         if verdict is AdmissionVerdict.DEFER:
-            self._push(
+            self.kernel.schedule(
                 now + self.config.admission.defer_retry_s, "redispatch", record,
                 label=f"r{record.request.request_id}:defer",
             )
@@ -522,11 +520,7 @@ class ClusterSimulator:
             return
         # Disaggregated fleets prefill everything in the prefill pool —
         # including fault re-dispatches, whose KV died with their source.
-        targets = (
-            self._pool("prefill")
-            if self.config.disagg is not None
-            else self.active_replicas
-        )
+        targets = self._candidates(self.entry_pool, now)
         if not targets:
             # Whole fleet (pool) is down/draining: park until recovery.
             downed = [r for r in self.replicas if r.crashed]
@@ -534,28 +528,19 @@ class ClusterSimulator:
                 if self._op_active is not None:
                     # A fleet op has the whole pool draining at once; the
                     # drained replica rejoins within a poll interval.
-                    self._push(
+                    self.kernel.schedule(
                         now + self._op_active["op"].poll_s, "redispatch",
                         record, label=f"r{record.request.request_id}:op_wait",
                     )
                     return
                 raise RuntimeError("no replica can ever accept work (all draining)")
             wake = max(min(r.down_until for r in downed), now)
-            self._push(
+            self.kernel.schedule(
                 wake, "redispatch", record,
                 label=f"r{record.request.request_id}:fleet_down",
             )
             return
-        if self.config.breaker is not None:
-            # Breakers are advisory at the fleet edge: prefer replicas
-            # whose breaker admits traffic, but never leave work
-            # unroutable when every breaker is open.
-            allowed = [
-                r for r in targets if self._breaker_for(r).allows(now)
-            ]
-            if allowed:
-                targets = allowed
-        target = self.router.choose(record.request, targets)
+        target = self.entry_pool.router.choose(record.request, targets)
         breaker = self._breaker_for(target)
         if breaker is not None:
             breaker.record_dispatch(now)
@@ -567,7 +552,7 @@ class ClusterSimulator:
             self._location.pop(rid, None)
             return
         if verdict is AdmissionVerdict.DEFER:
-            self._push(
+            self.kernel.schedule(
                 now + target.engine.defer_retry_s, "redispatch", record,
                 label=f"r{rid}:engine_defer",
             )
@@ -577,43 +562,52 @@ class ClusterSimulator:
             # Post-snapshot lifecycle mark: a crash between this accept
             # and the next checkpoint replays the request from the WAL.
             self._rstate(target).wal.append("submit", rid, now)
+        self._arm_timeout(record, now)
+
+    def _arm_timeout(self, record: RequestRecord, now: float) -> None:
+        """Arm the TTFT deadline of one dispatch (when timeouts are on).
+
+        ``record.retries`` is the dispatch epoch, so deadlines from
+        superseded dispatches are recognised as stale when they fire.
+        The handle is kept so an eviction cancels the now-moot deadline
+        outright (see :meth:`_detach`).
+        """
         faults = self.config.faults
         if faults is not None and faults.request_timeout_s is not None:
-            # The deadline is armed per dispatch; record.retries is the
-            # dispatch epoch, so deadlines from superseded dispatches are
-            # recognised as stale when they fire.  The handle is kept so
-            # a fault eviction cancels the now-moot deadline outright.
-            self._timeout_events[rid] = self._push(
-                now + faults.request_timeout_s,
-                "timeout",
-                (record, record.retries),
-                label=f"r{rid}@{record.retries}",
+            rid = record.request.request_id
+            self._timeout_events[rid] = self.kernel.schedule(
+                now + faults.request_timeout_s, "timeout",
+                (record, record.retries), label=f"r{rid}@{record.retries}",
             )
+
+    def _detach(self, rid: int) -> None:
+        """Forget where a request lives, with everything armed against it:
+        its in-flight transfer (the source KV is gone, or the request left
+        the replica) and its dispatch deadline (it can never matter again)."""
+        self._location.pop(rid, None)
+        self._abort_migration(rid)
+        deadline = self._timeout_events.pop(rid, None)
+        if deadline is not None:
+            self.kernel.cancel(deadline)
 
     def _retry_or_fail(self, record: RequestRecord, now: float) -> None:
         faults = self.config.faults
         record.reset_for_retry()
         rid = record.request.request_id
-        self._location.pop(rid, None)
-        # A transfer in flight for this request is moot now — its source
-        # KV is gone (crash) or the request left the replica (timeout).
-        self._abort_migration(rid)
-        # The deadline armed for the dispatch this request just lost can
-        # never matter again — cancel it instead of letting it fire stale.
-        deadline = self._timeout_events.pop(rid, None)
-        if deadline is not None:
-            self.kernel.cancel(deadline)
+        self._detach(rid)
         if record.retries > faults.max_retries:
             record.mark_failed(now)
             self.failed[rid] = record
             return
         self.fault_counters.redispatches += 1
-        self._push(
+        self.kernel.schedule(
             now + faults.backoff(record.retries), "redispatch", record,
             label=f"r{rid}:retry{record.retries}",
         )
 
-    def _apply_fault(self, event: FaultEvent, now: float) -> None:
+    def _on_fault(self, fired: Event) -> None:
+        event: FaultEvent = fired.payload
+        now = fired.time
         candidates = [r for r in self.replicas if not r.crashed]
         if not candidates:
             return  # the whole fleet is already down; the fault is moot
@@ -624,7 +618,7 @@ class ClusterSimulator:
             self._downtime_windows.append((now, now + event.duration_s))
             evicted = victim.crash(down_until=now + event.duration_s)
             warm = self.config.recover is not None
-            self._push(
+            self.kernel.schedule(
                 now + event.duration_s,
                 "warm_restart" if warm else "recover",
                 victim,
@@ -653,12 +647,7 @@ class ClusterSimulator:
                 # decides how much of their progress survives.
                 state = self._rstate(victim)
                 for record in evicted:
-                    rid = record.request.request_id
-                    self._location.pop(rid, None)
-                    self._abort_migration(rid)
-                    deadline = self._timeout_events.pop(rid, None)
-                    if deadline is not None:
-                        self.kernel.cancel(deadline)
+                    self._detach(record.request.request_id)
                     state.pending.append(record)
             else:
                 for record in evicted:
@@ -666,7 +655,7 @@ class ClusterSimulator:
         elif event.kind == "stall":
             self.fault_counters.stalls += 1
             victim.stall(event.slowdown)
-            self._push(
+            self.kernel.schedule(
                 now + event.duration_s, "stall_end", victim,
                 label=f"replica{victim.replica_id}",
             )
@@ -675,14 +664,17 @@ class ClusterSimulator:
             # any stall is active are stretched by the slowdown.
             self.fault_counters.link_stalls += 1
             self._active_link_stalls += 1
-            self._push(
+            self.kernel.schedule(
                 now + event.duration_s, "link_stall_end", None, label="link"
             )
         else:  # pragma: no cover - schedule generation only emits the above
             raise ValueError(f"unknown fault kind {event.kind!r}")
 
-    def _handle_timeout(self, payload, now: float) -> None:
-        record, epoch = payload
+    def _on_link_stall_end(self, fired: Event) -> None:
+        self._active_link_stalls -= 1
+
+    def _on_timeout(self, fired: Event) -> None:
+        (record, epoch), now = fired.payload, fired.time
         rid = record.request.request_id
         # Stale if the request terminated, was re-dispatched since the
         # deadline was armed, or already started streaming tokens.
@@ -723,7 +715,7 @@ class ClusterSimulator:
 
     def _schedule_snapshot(self, replica: Replica, t: float) -> None:
         self._live_snapshots += 1
-        self._push(t, "snapshot", replica, label=f"replica{replica.replica_id}")
+        self.kernel.schedule(t, "snapshot", replica, label=f"replica{replica.replica_id}")
 
     def _snapshot_work_remains(self) -> bool:
         """Should the snapshot chains stay alive?
@@ -742,7 +734,8 @@ class ClusterSimulator:
             for r in self.replicas
         )
 
-    def _handle_snapshot(self, replica: Replica, now: float) -> None:
+    def _on_snapshot(self, fired: Event) -> None:
+        replica, now = fired.payload, fired.time
         self._live_snapshots -= 1
         cfg = self.config.recover
         if not replica.crashed:
@@ -794,7 +787,7 @@ class ClusterSimulator:
                 return snap, kept, total
         return None, 0, cfg.payload_tokens
 
-    def _handle_warm_restart(self, replica: Replica, now: float) -> None:
+    def _on_warm_restart(self, fired: Event) -> None:
         """End a crash's downtime by restoring from the last checkpoint.
 
         Held requests captured by the restored epoch resume at the
@@ -805,6 +798,7 @@ class ClusterSimulator:
         usable the restart degrades to the classic cold retry path —
         degraded, never lost.
         """
+        replica, now = fired.payload, fired.time
         replica.recover(now)
         state = self._rstate(replica)
         held = list(state.pending)
@@ -820,8 +814,6 @@ class ClusterSimulator:
                 self._retry_or_fail(record, now)
             return
         snap_map = {s.rid: s for s in snap.requests}
-        faults = self.config.faults
-        restored = 0
         for record in held:
             rid = record.request.request_id
             s = snap_map.get(rid)
@@ -841,34 +833,26 @@ class ClusterSimulator:
                 self.fault_counters.restored_prefill_tokens += keep_p
                 self.fault_counters.restored_decode_tokens += keep_g
             replica.restore_record(record)
-            restored += 1
             self.fault_counters.recovered_requests += 1
             self._location[rid] = replica
             state.wal.append("submit", rid, now)
-            if (
-                faults is not None
-                and faults.request_timeout_s is not None
-                and record.first_token_at is None
-            ):
-                self._timeout_events[rid] = self._push(
-                    now + faults.request_timeout_s, "timeout",
-                    (record, record.retries),
-                    label=f"r{rid}@{record.retries}",
-                )
+            if record.first_token_at is None:
+                self._arm_timeout(record, now)
         self.kernel.mark(
             "warm_restore",
-            f"replica{replica.replica_id}:e{snap.epoch}:{restored}",
+            f"replica{replica.replica_id}:e{snap.epoch}:{len(held)}",
             time=now,
         )
 
     # -- operator-initiated fleet operations ---------------------------------
-    def _handle_fleet_op(self, op: FleetOp, now: float) -> None:
+    def _on_fleet_op(self, fired: Event) -> None:
+        op: FleetOp = fired.payload
         if op.kind == "drain":
             targets = [op.replica_id]
         else:  # rolling_restart drains one replica at a time, in id order
             targets = [r.replica_id for r in self.replicas]
         self._op_backlog.append({"op": op, "targets": targets, "current": None})
-        self._op_advance(now)
+        self._op_advance(fired.time)
 
     def _op_advance(self, now: float) -> None:
         """Advance the single active fleet op's drain state machine."""
@@ -894,7 +878,7 @@ class ClusterSimulator:
                 self._finish_drain(replica, now)
                 state["current"] = None
                 continue
-            self._push(
+            self.kernel.schedule(
                 now + state["op"].poll_s, "op_check", None,
                 label=f"replica{state['current']}",
             )
@@ -910,15 +894,12 @@ class ClusterSimulator:
             record = replica.cancel(rid)
             if record is None:
                 continue
-            self._location.pop(rid, None)
-            deadline = self._timeout_events.pop(rid, None)
-            if deadline is not None:
-                self.kernel.cancel(deadline)
+            self._detach(rid)
             if record.prefilled or record.generated:
                 # A queued record can carry migrated-in progress; that KV
                 # dies with the re-route and is charged as recovery waste.
                 record.reset_for_recovery(0, 0)
-            self._push(now, "requeue", record, label=f"r{rid}:drain")
+            self.kernel.schedule(now, "requeue", record, label=f"r{rid}:drain")
 
     def _drained(self, replica: Replica) -> bool:
         return (
@@ -974,10 +955,10 @@ class ClusterSimulator:
         the engine-reported prefill completion and no earlier than the
         kernel's clock (the fleet-sync staleness every dispatch has).
         """
-        if self.config.disagg is None:
+        if self.decode_pool is None:
             return
         for replica in self.replicas:
-            if replica.role != "prefill" or replica.crashed:
+            if replica.role != self.entry_pool.role or replica.crashed:
                 continue
             for record in replica.engine.take_handoffs():
                 start = max(record.prefill_done_at, now, self.kernel.now)
@@ -994,20 +975,15 @@ class ClusterSimulator:
         """
         rid = record.request.request_id
         attempt = record.migration_retries
-        targets = self._pool("decode")
-        if self.config.breaker is not None and targets:
-            allowed = [r for r in targets if self._breaker_for(r).allows(now)]
-            if allowed:
-                targets = allowed
+        targets = self._candidates(self.decode_pool, now)
         if not targets:
             self.kernel.mark("migrate_reroute", f"r{rid}:no_target", time=now)
             self._retry_migration(record, source, now)
             return
-        target = self.decode_router.choose(record.request, targets)
-        kv_bits = (
-            record.kv_bits if record.kv_bits is not None else self.method.kv_bits
+        target = self.decode_pool.router.choose(record.request, targets)
+        nbytes = kv_wire_bytes(
+            self.model, record.request.prompt_len, self._kv_bits(record)
         )
-        nbytes = kv_wire_bytes(self.model, record.request.prompt_len, kv_bits)
         transfer = self.gpu.transfer_time(nbytes) * self._link_slowdown
         # Wire bytes are spent whether or not the transfer lands.
         record.migrated_bytes += nbytes
@@ -1024,7 +1000,7 @@ class ClusterSimulator:
             self.kernel.mark("migrate_drop", f"r{rid}#{attempt}", time=now)
             self._retry_migration(record, source, now + transfer)
             return
-        ev = self._push(
+        ev = self.kernel.schedule(
             now + transfer, "migrate_arrive",
             (record, source, target, roll == "corrupt"),
             label=f"r{rid}->replica{target.replica_id}",
@@ -1038,21 +1014,32 @@ class ClusterSimulator:
         time so a late local-fallback decision sees the current fleet."""
         rid = record.request.request_id
         record.migration_retries += 1
-        ev = self._push(
+        ev = self.kernel.schedule(
             now + self._migration_backoff(record.migration_retries),
             "migrate_retry", (record, source),
             label=f"r{rid}:retry{record.migration_retries}",
         )
         self._inflight[rid] = ev
 
-    def _handle_migrate_retry(self, fired: Event, now: float) -> None:
-        record, source = fired.payload
-        rid = record.request.request_id
+    def _kv_bits(self, record: RequestRecord) -> float:
+        """Width of the KV a request ships: fixed at admission (brownout
+        may narrow it), else the method's."""
+        return record.kv_bits if record.kv_bits is not None else self.method.kv_bits
+
+    def _claim_transfer(self, fired: Event, rid: int, source: Replica) -> bool:
+        """Retire a fired transfer event; False when it no longer matters:
+        superseded (re-routed, evicted, timed out) or the source lost the
+        request meanwhile (crash/timeout)."""
         if self._inflight.get(rid) is not fired:
-            return  # superseded (re-routed, evicted, or timed out)
+            return False
         del self._inflight[rid]
-        if rid not in source.engine.migrating:
-            return  # the source lost the request meanwhile (crash/timeout)
+        return rid in source.engine.migrating
+
+    def _on_migrate_retry(self, fired: Event) -> None:
+        (record, source), now = fired.payload, fired.time
+        rid = record.request.request_id
+        if not self._claim_transfer(fired, rid, source):
+            return
         if record.migration_retries > self._migration_budget:
             # Budget exhausted: degrade to decoding on the prefill
             # replica — the KV is already resident there.  Slower for
@@ -1062,14 +1049,11 @@ class ClusterSimulator:
             return
         self._begin_migration(record, source, now)
 
-    def _handle_migrate_arrive(self, fired: Event, now: float) -> None:
-        record, source, target, corrupt = fired.payload
+    def _on_migrate_arrive(self, fired: Event) -> None:
+        (record, source, target, corrupt), now = fired.payload, fired.time
         rid = record.request.request_id
-        if self._inflight.get(rid) is not fired:
-            return  # superseded by a reroute/abort
-        del self._inflight[rid]
-        if rid not in source.engine.migrating:
-            return  # the source lost the request meanwhile (crash/timeout)
+        if not self._claim_transfer(fired, rid, source):
+            return
         if not target.dispatchable:
             # Destination drained/crashed while the bytes were in flight.
             self.kernel.mark(
@@ -1088,10 +1072,7 @@ class ClusterSimulator:
             cfg = disagg.migration
             seed = self.config.faults.seed if self.config.faults is not None else 0
             attempt = record.migration_retries
-            kv_bits = (
-                record.kv_bits if record.kv_bits is not None else self.method.kv_bits
-            )
-            arrays = build_payload(rid, attempt, seed, kv_bits, cfg)
+            arrays = build_payload(rid, attempt, seed, self._kv_bits(record), cfg)
             damaged = corrupt_payload(arrays, rid, attempt, seed, cfg)
             outcome = receive_payload(damaged, record.request.prompt_len, cfg)
             record.prefilled = outcome.valid_tokens
@@ -1118,7 +1099,7 @@ class ClusterSimulator:
             # Target saturated: KV stays pinned on the source; re-offer
             # the (already verified) delivery after a wait.
             record.status = RequestStatus.MIGRATING
-            ev = self._push(
+            ev = self.kernel.schedule(
                 now + disagg.migration.defer_retry_s, "migrate_arrive",
                 (record, source, target, False), label=f"r{rid}:defer",
             )
@@ -1131,23 +1112,71 @@ class ClusterSimulator:
             record.wasted_prefill_tokens += record.prefilled
             record.wasted_decode_tokens += record.generated
             source.engine.release_migrated(rid)
-            self._location.pop(rid, None)
-            deadline = self._timeout_events.pop(rid, None)
-            if deadline is not None:
-                self.kernel.cancel(deadline)
+            self._detach(rid)
 
     # -- simulation ----------------------------------------------------------
+    #: The handler table: one function ``(simulator, event)`` per
+    #: scheduled kind, in ``CLUSTER_EVENT_ORDER`` order (marks have none).
+    #: Plain functions on the class, not bound methods on the instance,
+    #: so a finished simulator holds no reference cycle and is freed as
+    #: soon as its caller drops it.
+    _HANDLERS: Dict[str, Callable[["ClusterSimulator", Event], None]] = {
+        "recover": lambda sim, ev: ev.payload.recover(ev.time),
+        "warm_restart": _on_warm_restart,
+        "stall_end": lambda sim, ev: ev.payload.clear_stall(),
+        "link_stall_end": _on_link_stall_end,
+        "fault": _on_fault,
+        "fleet_op": _on_fleet_op,
+        "arrival": lambda sim, ev: sim._dispatch(
+            RequestRecord(request=ev.payload), ev.time
+        ),
+        "redispatch": lambda sim, ev: sim._dispatch(ev.payload, ev.time),
+        "requeue": lambda sim, ev: sim._dispatch(ev.payload, ev.time, gate=False),
+        "migrate_arrive": _on_migrate_arrive,
+        "migrate_retry": _on_migrate_retry,
+        "timeout": _on_timeout,
+        "op_check": lambda sim, ev: sim._op_advance(ev.time),
+        "snapshot": _on_snapshot,
+    }
+
+    def _drain_round(self) -> bool:
+        """Run surviving replicas toward completion once the kernel is
+        empty; returns whether any replica stepped.
+
+        A replica still down here lost its work to ``_retry_or_fail``
+        already.  Prefill engines park finished prompts in ``migrating``
+        (not busy), so a round stops early at each fresh handoff and the
+        collect below ships it.  Disaggregated fleets step each replica
+        once per round so late handoffs deliver while decode replicas
+        are still near the handoff clock, not after they finished their
+        whole resident batch; unified fleets run each replica to the end.
+        """
+        progressed = False
+        for replica in self.replicas:
+            if replica.crashed:
+                continue
+            if self.decode_pool is not None:
+                if replica.busy and not replica.engine.migration_blocked:
+                    self._step_replica(replica)
+                    progressed = True
+            else:
+                while replica.busy:
+                    self._advance_replica(replica, None)
+                    progressed = True
+        self._collect_handoffs(self.kernel.now)
+        return progressed
+
     def run(self, requests: Sequence[Request]) -> ClusterMetrics:
         arrivals = sorted(requests, key=lambda r: (r.arrival_time, r.request_id))
         for request in arrivals:
-            self._push(
+            self.kernel.schedule(
                 request.arrival_time, "arrival", request,
                 label=f"r{request.request_id}",
             )
         if self._injector is not None and arrivals:
             horizon = arrivals[-1].arrival_time + self.config.faults.horizon_pad_s
             for event in self._injector.schedule(horizon):
-                self._push(
+                self.kernel.schedule(
                     event.time, "fault", event,
                     label=f"{event.kind}#{event.salt}",
                 )
@@ -1157,98 +1186,26 @@ class ClusterSimulator:
                     replica, self.config.recover.snapshot_interval_s
                 )
         for op in self.config.ops:
-            self._push(op.time, "fleet_op", op, label=op.kind)
+            self.kernel.schedule(op.time, "fleet_op", op, label=op.kind)
 
         # Event loop and drain are one cycle: handling an event (or a
         # drain round) can surface prefill-complete requests whose
         # migrations schedule *new* kernel events, so neither phase is
-        # ever finally "done" until both are quiet.  For unified fleets
-        # this reduces exactly to the classic pop-all-then-drain order
-        # (no handoffs exist, and popping an empty kernel emits nothing),
-        # keeping golden cluster traces byte-identical.
+        # ever finally "done" until both are quiet.  Every fleet layout
+        # pops whole same-instant batches; a disaggregated fleet pulls its
+        # prefill pool forward before each instant.
+        kernel, handlers = self.kernel, self._HANDLERS
+        pull = self._pull_prefill_pool if self.decode_pool is not None else None
         while True:
-            if self.config.disagg is not None:
-                # Pull prefill replicas forward *before* popping: prompts
-                # that complete between cluster events must start their
-                # transfer at the true prefill-completion time (which is
-                # still >= kernel.now pre-pop), not at the next event's
-                # time — otherwise every handoff pays event-granularity
-                # latency.  The scheduled arrival may land before the
-                # event we were about to pop; the heap sorts that out.
-                t_next = self.kernel.next_time
-                if t_next is not None:
-                    self._advance_fleet_to(t_next, role="prefill")
-                    self._collect_handoffs(self.kernel.now)
-                # The pre-pop pull must re-run between events, so disagg
-                # fleets pop one at a time; unified fleets drain the whole
-                # same-instant batch without re-entering the outer loop.
-                head = self.kernel.pop()
-                batch = iter(()) if head is None else iter((head,))
-            else:
-                batch = self.kernel.pop_batch()
-            fired_any = False
-            for fired in batch:
-                fired_any = True
-                t, kind, payload = fired.time, fired.kind, fired.payload
-                self._advance_fleet_to(t)
-                self._autoscale(t)
-                if kind == "arrival":
-                    self._dispatch(RequestRecord(request=payload), t)
-                elif kind == "redispatch":
-                    self._dispatch(payload, t)
-                elif kind == "fault":
-                    self._apply_fault(payload, t)
-                elif kind == "recover":
-                    payload.recover(t)
-                elif kind == "stall_end":
-                    payload.clear_stall()
-                elif kind == "timeout":
-                    self._handle_timeout(payload, t)
-                elif kind == "link_stall_end":
-                    self._active_link_stalls -= 1
-                elif kind == "migrate_arrive":
-                    self._handle_migrate_arrive(fired, t)
-                elif kind == "migrate_retry":
-                    self._handle_migrate_retry(fired, t)
-                elif kind == "warm_restart":
-                    self._handle_warm_restart(payload, t)
-                elif kind == "snapshot":
-                    self._handle_snapshot(payload, t)
-                elif kind == "fleet_op":
-                    self._handle_fleet_op(payload, t)
-                elif kind == "op_check":
-                    self._op_advance(t)
-                elif kind == "requeue":
-                    self._dispatch(payload, t, gate=False)
-                self._collect_handoffs(t)
-            if fired_any:
+            if not kernel.empty:
+                for fired in kernel.pop_batch(pull):
+                    t = fired.time
+                    self._advance_fleet_to(t)
+                    self._autoscale(t)
+                    handlers[fired.kind](self, fired)
+                    self._collect_handoffs(t)
                 continue
-            # Drain round: run surviving replicas to completion.  A
-            # replica still down here lost its work to _retry_or_fail
-            # already.  Prefill engines park finished prompts in
-            # ``migrating`` (not busy), so the round stops early at each
-            # fresh handoff and the collect below ships it.
-            progressed = False
-            if self.config.disagg is not None:
-                # Disaggregated drain interleaves the pools one step at a
-                # time so late handoffs deliver while decode replicas are
-                # still near the handoff clock, not after they finished
-                # their whole resident batch.
-                for replica in self.replicas:
-                    if replica.crashed:
-                        continue
-                    if replica.busy and not replica.engine.migration_blocked:
-                        self._step_replica(replica)
-                        progressed = True
-            else:
-                for replica in self.replicas:
-                    if replica.crashed:
-                        continue
-                    while replica.busy:
-                        self._advance_replica(replica, None)
-                        progressed = True
-            self._collect_handoffs(self.kernel.now)
-            if self.kernel.empty and not progressed:
+            if not self._drain_round() and kernel.empty:
                 break
 
         worked = [r for r in self.replicas if r.records]

@@ -23,6 +23,12 @@ never decreases: scheduling into the past raises
 a stale clock, say) fails loudly at the call site instead of corrupting
 the timeline.
 
+**Instants.**  :meth:`EventScheduler.pop_batch` fires one instant at a
+time.  A consumer that must move its own state up to each instant
+before that instant's events fire (the disaggregated fleet ships
+finished prefills first) passes a ``before_instant`` hook: it is called
+with the head time, and the head is re-read after it returns.
+
 **Observability.**  When a :class:`~repro.sim.trace.TraceSink` is
 attached, every schedule/fire/cancel — and every lifecycle *mark* a
 consumer emits via :meth:`EventScheduler.mark` — becomes one typed
@@ -33,7 +39,7 @@ digest (:func:`repro.sim.trace.trace_digest`) the test suite asserts.
 from __future__ import annotations
 
 import heapq
-from typing import Any, Dict, Iterator, List, Mapping, Optional
+from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional
 
 from repro.sim.trace import TraceSink
 
@@ -204,7 +210,9 @@ class EventScheduler:
             return None
         return self.pop()
 
-    def pop_batch(self) -> Iterator[Event]:
+    def pop_batch(
+        self, before_instant: Optional[Callable[[float], None]] = None
+    ) -> Iterator[Event]:
         """Lazily fire every live event at the head instant, in order.
 
         Captures the head time once, then yields :meth:`pop` results while
@@ -215,10 +223,17 @@ class EventScheduler:
         handling between pops, but the batch shape lets them hoist the
         per-instant bookkeeping (fleet advance, autoscale) out of the
         per-event path.
+
+        ``before_instant``, when given, runs first with the head time and
+        may schedule events; the instant is then re-read, so an event it
+        schedules ahead of the old head fires first, as its own instant.
         """
         t = self.next_time
         if t is None:
             return
+        if before_instant is not None:
+            before_instant(t)
+            t = self.next_time
         while True:
             next_time = self.next_time
             if next_time is None or next_time != t:

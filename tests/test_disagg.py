@@ -288,7 +288,7 @@ class TestMigrationOutcomes:
         )
         sim._inflight[0] = ev
         assert sim.kernel.pop() is ev
-        sim._handle_migrate_arrive(ev, 1.0)
+        sim._on_migrate_arrive(ev)
         assert record.wasted_prefill_tokens == 512
         assert 0 not in source.engine.migrating  # source KV released
 

@@ -251,3 +251,36 @@ class TestBatchDrains:
                     pass
 
         assert run(scalar) == run(batched)
+
+
+class TestBeforeInstantHook:
+    def test_hook_runs_once_per_instant_with_its_head_time(self):
+        sched = EventScheduler(ORDER)
+        seen = []
+        for t, kind in [(1.0, "beta"), (1.0, "alpha"), (2.0, "alpha")]:
+            sched.schedule(t, kind)
+        fired = 0
+        while not sched.empty:
+            fired += len(list(sched.pop_batch(seen.append)))
+        assert fired == 3 and seen == [1.0, 2.0]
+
+    def test_event_the_hook_schedules_ahead_of_the_head_fires_first(self):
+        # The hook moves consumer state up to the head instant and may
+        # schedule work that is due earlier (a KV transfer that started
+        # at a prefill's true completion time): that event is its own,
+        # earlier instant, and the old head follows in the next batch.
+        sched = EventScheduler(ORDER)
+        sched.schedule(2.0, "alpha", label="head")
+
+        def hook(t):
+            if t == 2.0 and len(sched) == 1 and sched.now < 1.5:
+                sched.schedule(1.5, "gamma", label="early")
+
+        assert [e.label for e in sched.pop_batch(hook)] == ["early"]
+        assert sched.now == 1.5
+        assert [e.label for e in sched.pop_batch(hook)] == ["head"]
+
+    def test_empty_kernel_does_not_call_the_hook(self):
+        sched = EventScheduler(ORDER)
+        hook = lambda t: pytest.fail("hook ran on an empty kernel")  # noqa: E731
+        assert list(sched.pop_batch(hook)) == []
