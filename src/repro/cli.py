@@ -14,6 +14,7 @@
     python -m repro harness table2 fig6 --quick
     python -m repro speed   --check --quick
     python -m repro profile cluster
+    python -m repro profile recover
 
 Everything the CLI prints is produced by the same library calls the tests
 and benchmarks exercise; the CLI adds no logic of its own.
@@ -323,6 +324,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         "decode": lambda: speed.bench_decode(repeats=1),
         "engine": speed.bench_engine,
         "cluster": speed.bench_cluster,
+        "recover": lambda: speed.bench_recover(repeats=1),
     }
     profiler = cProfile.Profile()
     profiler.enable()
@@ -523,7 +525,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="cProfile one pinned speed scenario, top cumulative functions",
     )
     p_pr.add_argument(
-        "scenario", choices=["prefill", "decode", "engine", "cluster"]
+        "scenario", choices=["prefill", "decode", "engine", "cluster", "recover"]
     )
     p_pr.add_argument("--top", type=int, default=20, help="rows to print")
     p_pr.set_defaults(fn=_cmd_profile)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.quant.progressive import LEGAL_BITS
 from repro.sas.softmax import SASConfig
 
 __all__ = ["TurboConfig"]
@@ -73,7 +74,7 @@ class TurboConfig:
             raise ValueError("block sizes must be positive")
         if self.buffer_size <= 0:
             raise ValueError("buffer_size must be positive")
-        if self.kv_bits not in (2, 3, 4, 8):
+        if self.kv_bits not in LEGAL_BITS:
             raise ValueError(f"unsupported kv_bits: {self.kv_bits}")
         if not 0.0 <= self.two_bit_fraction <= 1.0:
             raise ValueError("two_bit_fraction must lie in [0, 1]")

@@ -26,7 +26,12 @@ from typing import Iterator, List, Tuple
 
 import numpy as np
 
-from repro.quant.progressive import ProgressiveBlock, pq_compress, pq_decompress_to_int8
+from repro.quant.progressive import (
+    ProgressiveBlock,
+    legal_bits,
+    pq_compress,
+    pq_decompress_to_int8,
+)
 
 __all__ = ["CacheBlock", "QuantizedKVCache"]
 
@@ -47,6 +52,17 @@ class CacheBlock:
     @property
     def storage_bits(self) -> int:
         return self.k.storage_bits + self.v.storage_bits
+
+
+def _member(stack: ProgressiveBlock, i: int) -> ProgressiveBlock:
+    """Block ``i`` of a tile compressed with a leading stack axis."""
+    return ProgressiveBlock(
+        codes=stack.codes[i],
+        s_int=stack.s_int[i],
+        z_int=stack.z_int[i],
+        bits=stack.bits,
+        float_scale=stack.float_scale[i],
+    )
 
 
 class QuantizedKVCache:
@@ -89,7 +105,7 @@ class QuantizedKVCache:
             raise ValueError(
                 f"head_bits must have shape ({self.n_heads},), got {head_bits.shape}"
             )
-        if np.any(~np.isin(head_bits, (2, 3, 4, 8))):
+        if not legal_bits(head_bits):
             raise ValueError(f"unsupported bit-widths: {np.unique(head_bits)}")
         self.head_bits = head_bits
 
@@ -109,28 +125,57 @@ class QuantizedKVCache:
 
         ``k_codes``/``v_codes`` have shape ``(heads, length, head_dim)``
         (``length <= block_size``), with their per-(head, block) symmetric
-        scales of shape ``(heads, 1, 1)``.
+        scales of shape ``(heads, 1, 1)``.  The one-block case of
+        :meth:`append_blocks`.
+        """
+        return self.append_blocks(
+            np.asarray(k_codes)[None],
+            np.asarray(v_codes)[None],
+            np.asarray(k_scale)[None],
+            np.asarray(v_scale)[None],
+        )[0]
+
+    def append_blocks(
+        self,
+        k_codes: np.ndarray,
+        v_codes: np.ndarray,
+        k_scale: np.ndarray,
+        v_scale: np.ndarray,
+    ) -> List[CacheBlock]:
+        """Compress ``n`` stacked blocks of INT8 codes and append them in order.
+
+        ``k_codes``/``v_codes`` have shape ``(n, heads, length, head_dim)``
+        and the scales carry one entry per block on their leading axis
+        (``(n, heads, 1, 1)``).  One :func:`pq_compress` per K and per V
+        covers every block: the channel statistics reduce over the token
+        axis only, so each block's codes, ``s_int`` and ``z_int`` are
+        bit-identical to compressing it alone.
         """
         k_codes = np.asarray(k_codes)
         v_codes = np.asarray(v_codes)
         if k_codes.shape != v_codes.shape:
             raise ValueError("key and value code shapes must match")
-        h, length, d = k_codes.shape
+        n, h, length, d = k_codes.shape
         if h != self.n_heads or d != self.head_dim:
             raise ValueError(
-                f"block shape {k_codes.shape} does not match cache "
+                f"block shape {k_codes.shape[1:]} does not match cache "
                 f"({self.n_heads} heads, dim {self.head_dim})"
             )
         if length > self.block_size:
             raise ValueError(f"block length {length} exceeds block_size {self.block_size}")
+        k_scale = np.asarray(k_scale)
+        v_scale = np.asarray(v_scale)
+        if k_scale.shape[:1] != (n,) or v_scale.shape[:1] != (n,):
+            raise ValueError(f"scales need a leading axis of {n} blocks")
         bits = self.head_bits.reshape(-1, 1, 1)
-        block = CacheBlock(
-            k=pq_compress(k_codes, bits=bits, float_scale=np.asarray(k_scale)),
-            v=pq_compress(v_codes, bits=bits, float_scale=np.asarray(v_scale)),
-            length=length,
-        )
-        self.blocks.append(block)
-        return block
+        k = pq_compress(k_codes, bits=bits, float_scale=k_scale)
+        v = pq_compress(v_codes, bits=bits, float_scale=v_scale)
+        blocks = [
+            CacheBlock(k=_member(k, i), v=_member(v, i), length=length)
+            for i in range(n)
+        ]
+        self.blocks.extend(blocks)
+        return blocks
 
     def iter_decompressed(
         self,

@@ -162,8 +162,8 @@ def turbo_prefill(
     f_tiles: List[Tuple[np.ndarray, np.ndarray]] = []
     bad_kv: set = set()
     bounds = [(s, min(s + bk, nk)) for s in range(0, nk, bk)]
+    n_full = nk // bk
     if guard is None:
-        n_full = nk // bk
         if n_full:
             k_stack = (
                 k[:, : n_full * bk, :].reshape(hkv, n_full, bk, d).transpose(1, 0, 2, 3)
@@ -206,14 +206,15 @@ def turbo_prefill(
         hkv, d, capacity=config.buffer_size,
         k_scale=k_univ, v_scale=v_univ, clamp_code=config.clamp_code,
     )
-    for j, (ks, ke) in enumerate(bounds):
-        if ke - ks == bk:
-            cache.append_block(
-                k_tiles[j][0], v_tiles[j][0],
-                k_tiles[j][1].reshape(hkv, 1, 1), v_tiles[j][1].reshape(hkv, 1, 1),
-            )
-        else:
-            buffer.extend(f_tiles[j][0], f_tiles[j][1])
+    if n_full:
+        cache.append_blocks(
+            np.stack([t[0] for t in k_tiles[:n_full]]),
+            np.stack([t[0] for t in v_tiles[:n_full]]),
+            np.stack([t[1].reshape(hkv, 1, 1) for t in k_tiles[:n_full]]),
+            np.stack([t[1].reshape(hkv, 1, 1) for t in v_tiles[:n_full]]),
+        )
+    if n_full * bk < nk:
+        buffer.extend(f_tiles[-1][0], f_tiles[-1][1])
 
     def _imatmul(a, b, where):
         if guard is not None:

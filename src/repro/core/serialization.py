@@ -48,7 +48,7 @@ from repro.guard.errors import (
     SchemaError,
 )
 from repro.quant.packing import pack_codes, packed_nbytes, unpack_codes
-from repro.quant.progressive import ProgressiveBlock
+from repro.quant.progressive import ProgressiveBlock, legal_bits
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -65,7 +65,13 @@ __all__ = [
 #: the ``meta.seq_len`` recovery hint.
 SCHEMA_VERSION = 2
 
-_LEGAL_BITS = (2, 3, 4, 8)
+#: ``str(dtype)`` of every dtype the schema writes.  :func:`state_digest`
+#: hashes the dtype name of each of a payload's hundreds of arrays, and
+#: under NumPy 2 ``str(dtype)`` costs more than hashing the array itself.
+_DTYPE_NAMES = {
+    np.dtype(t): str(np.dtype(t)).encode()
+    for t in (np.int8, np.int16, np.int64, np.uint8, np.uint32, np.float64)
+}
 
 
 def _pack_block(prefix: str, block: ProgressiveBlock, out: Dict[str, np.ndarray]) -> None:
@@ -199,7 +205,7 @@ def _validate_meta(arrays: Dict[str, np.ndarray], verify: bool) -> Tuple[int, in
             f"meta.head_bits shape {head_bits.shape} != ({n_heads},)",
             key="meta.head_bits",
         )
-    if np.any(~np.isin(head_bits, _LEGAL_BITS)):
+    if not legal_bits(head_bits):
         raise CorruptValueError(
             f"illegal head bit-widths {np.unique(head_bits)}", key="meta.head_bits"
         )
@@ -241,7 +247,7 @@ def _load_block(
                 f"{n_heads} heads",
                 key=f"{prefix}.bits",
             )
-        if np.any(~np.isin(bits, _LEGAL_BITS)):
+        if not legal_bits(bits):
             raise CorruptValueError(
                 f"{prefix}.bits contains illegal widths {np.unique(bits)}",
                 key=f"{prefix}.bits",
@@ -508,17 +514,25 @@ def salvage_state(arrays: Dict[str, np.ndarray]) -> SalvageResult:
 def state_digest(arrays: Dict[str, np.ndarray]) -> str:
     """Stable blake2b digest of a serialized state dict.
 
-    Key-order independent (keys are walked sorted) and covers dtype,
-    shape, and payload bytes of every array, so two dicts digest equal
-    iff the persisted bytes would be equal.  Checkpointing
-    (:mod:`repro.recover`) uses this as the snapshot identity a restart
-    verifies before trusting the state.
+    Key-order independent (keys are walked sorted) and covers the dtype
+    name, shape and payload bytes of every array, so equal persisted
+    bytes digest equal and any change to an array's dtype, shape or bytes
+    changes the digest.  One collision is known: ``np.ascontiguousarray``
+    promotes a 0-d array to shape ``(1,)``, so a scalar and a one-element
+    1-D array of the same dtype and value digest equal.  Changing that
+    would move every snapshot digest, so it is documented, not fixed.
+
+    No load path checks this digest.  :mod:`repro.recover` folds it into
+    :attr:`~repro.recover.EngineSnapshot.digest`, which labels the
+    ``snapshot_taken`` trace marks and pins determinism; the per-array
+    CRCs are what detect corruption.
     """
     h = hashlib.blake2b(digest_size=16)
     for key in sorted(arrays):
         arr = np.ascontiguousarray(np.asarray(arrays[key]))
+        name = _DTYPE_NAMES.get(arr.dtype)
         h.update(key.encode())
-        h.update(str(arr.dtype).encode())
+        h.update(name if name is not None else str(arr.dtype).encode())
         h.update(np.asarray(arr.shape, dtype=np.int64).tobytes())
         h.update(arr.tobytes())
     return h.hexdigest()

@@ -40,7 +40,7 @@ import numpy as np
 
 from repro.guard.report import GuardReport
 from repro.quant.bounds import progressive_bound
-from repro.quant.progressive import pq_compress, pq_decompress_to_int8
+from repro.quant.progressive import LEGAL_BITS, pq_compress, pq_decompress_to_int8
 
 __all__ = [
     "DEFAULT_LADDER",
@@ -96,7 +96,7 @@ class EscalationConfig:
     def __post_init__(self) -> None:
         if len(self.ladder) < 2 or list(self.ladder) != sorted(set(self.ladder)):
             raise ValueError("ladder must be >= 2 strictly ascending widths")
-        if any(b not in (2, 3, 4, 8) for b in self.ladder):
+        if any(b not in LEGAL_BITS for b in self.ladder):
             raise ValueError(f"unsupported widths in ladder: {self.ladder}")
         if not 0.0 <= self.clamp_threshold <= 1.0:
             raise ValueError("clamp_threshold must lie in [0, 1]")

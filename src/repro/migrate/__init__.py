@@ -28,6 +28,7 @@ from repro.migrate.payload import (
     HandoffOutcome,
     build_payload,
     corrupt_payload,
+    miniature_payload,
     receive_payload,
 )
 
@@ -38,5 +39,6 @@ __all__ = [
     "HandoffOutcome",
     "build_payload",
     "corrupt_payload",
+    "miniature_payload",
     "receive_payload",
 ]

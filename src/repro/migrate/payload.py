@@ -19,7 +19,7 @@ deterministic per attempt and never perturb any other RNG stream.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import TYPE_CHECKING, Dict, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -33,10 +33,18 @@ from repro.core.serialization import (
 )
 from repro.core.turbo import TurboKVState
 from repro.migrate.config import MigrationConfig
+from repro.quant.progressive import LEGAL_BITS
 
-__all__ = ["HandoffOutcome", "build_payload", "corrupt_payload", "receive_payload"]
+if TYPE_CHECKING:
+    from repro.recover.config import RecoverConfig
 
-_LADDER = (2, 3, 4, 8)
+__all__ = [
+    "HandoffOutcome",
+    "build_payload",
+    "corrupt_payload",
+    "miniature_payload",
+    "receive_payload",
+]
 
 
 def _storage_bits(kv_bits: float) -> int:
@@ -46,8 +54,8 @@ def _storage_bits(kv_bits: float) -> int:
     codes + amortized metadata), so the payload packs at the *code* width:
     the largest ladder rung not above the effective rate, and 8 for FP16.
     """
-    eligible = [b for b in _LADDER if b <= kv_bits]
-    return eligible[-1] if eligible else _LADDER[0]
+    eligible = [b for b in LEGAL_BITS if b <= kv_bits]
+    return eligible[-1] if eligible else LEGAL_BITS[0]
 
 
 @dataclass(frozen=True)
@@ -72,6 +80,44 @@ class HandoffOutcome:
         return max(0, end - start)
 
 
+def miniature_payload(
+    key: Sequence[int],
+    bits: int,
+    geometry: Union[MigrationConfig, RecoverConfig],
+) -> Dict[str, np.ndarray]:
+    """Serialize a miniature faithful KV state drawn from the stream ``key``.
+
+    ``geometry.payload_blocks`` blocks of ``payload_block_tokens`` tokens x
+    ``payload_heads`` heads x ``payload_head_dim`` dims of random INT8
+    codes, stored at ``bits`` per code with unit scales, plus an empty
+    decode buffer, through the checksummed schema.  This is the payload of
+    both a handoff (:func:`build_payload`) and a snapshot epoch
+    (:func:`repro.recover.snapshot_payload`), which differ only in key,
+    width and geometry.
+
+    One ``integers`` call of shape ``(blocks, 2, heads, tokens, dim)``
+    draws every code: row-major order walks block 0's K, block 0's V,
+    block 1's K, ..., which is exactly the stream the generator yields
+    one ``(heads, tokens, dim)`` draw at a time, K before V.  One
+    :meth:`~repro.core.kvcache.QuantizedKVCache.append_blocks` then
+    compresses all blocks, so the arrays — and hence every checksum and
+    :func:`~repro.core.serialization.state_digest` — are byte-identical
+    to the per-block build.
+    """
+    blocks, tokens = geometry.payload_blocks, geometry.payload_block_tokens
+    heads, dim = geometry.payload_heads, geometry.payload_head_dim
+    rng = np.random.default_rng(key)
+    kv = rng.integers(-100, 101, size=(blocks, 2, heads, tokens, dim)).astype(np.int8)
+    head_bits = np.full(heads, bits, dtype=np.int32)
+    cache = QuantizedKVCache(heads, dim, head_bits=head_bits, block_size=tokens)
+    block_scales = np.ones((blocks, heads, 1, 1))
+    cache.append_blocks(kv[:, 0], kv[:, 1], k_scale=block_scales, v_scale=block_scales)
+    scale = np.ones((heads, 1, 1))
+    buffer = DecodeBuffer(heads, dim, capacity=tokens, k_scale=scale, v_scale=scale)
+    state = TurboKVState(cache=cache, buffer=buffer, head_bits=head_bits)
+    return state_to_arrays(state, checksums=True)
+
+
 def build_payload(
     request_id: int,
     attempt: int,
@@ -79,27 +125,12 @@ def build_payload(
     kv_bits: float,
     config: MigrationConfig,
 ) -> Dict[str, np.ndarray]:
-    """Serialize a miniature faithful KV state for one handoff attempt."""
-    rng = np.random.default_rng([seed, request_id, attempt])
-    heads = config.payload_heads
-    dim = config.payload_head_dim
-    bits = _storage_bits(kv_bits)
-    head_bits = np.full(heads, bits, dtype=np.int32)
-    cache = QuantizedKVCache(
-        heads, dim, head_bits=head_bits, block_size=config.payload_block_tokens
+    """Serialize a miniature faithful KV state for one handoff attempt,
+    keyed ``[seed, request_id, attempt]`` and packed at the storage width
+    of ``kv_bits``."""
+    return miniature_payload(
+        [seed, request_id, attempt], _storage_bits(kv_bits), config
     )
-    scale = np.ones((heads, 1, 1))
-    for _ in range(config.payload_blocks):
-        k = rng.integers(-100, 101, size=(heads, config.payload_block_tokens, dim))
-        v = rng.integers(-100, 101, size=(heads, config.payload_block_tokens, dim))
-        cache.append_block(
-            k.astype(np.int8), v.astype(np.int8), k_scale=scale, v_scale=scale
-        )
-    buffer = DecodeBuffer(
-        heads, dim, capacity=config.payload_block_tokens, k_scale=scale, v_scale=scale
-    )
-    state = TurboKVState(cache=cache, buffer=buffer, head_bits=head_bits)
-    return state_to_arrays(state, checksums=True)
 
 
 def corrupt_payload(

@@ -1,8 +1,8 @@
 """Pinned wall-clock speed trajectory for the kernels and simulators.
 
 Accuracy experiments pin their *numbers* with golden files; this module
-pins the *speed* the repo produces them at.  Four scenarios cover the
-three layers the hot loops live in:
+pins the *speed* the repo produces them at.  Five scenarios cover the
+layers the hot loops live in:
 
 * ``prefill`` / ``decode`` — the attention kernels themselves (one long
   prompt; one long homogeneous decode stretch through the bulk API);
@@ -10,7 +10,11 @@ three layers the hot loops live in:
   loop, measured in simulated requests per wall-second;
 * ``cluster`` — a three-replica :class:`~repro.cluster.ClusterSimulator`
   in the long-generation decode regime where the batched decode path
-  dominates.
+  dominates;
+* ``recover`` — a two-replica fleet with crashes and frequent
+  :class:`~repro.recover.RecoverConfig` snapshots, where the checkpoint
+  path (serialized KV payload, checksums, digest) and warm restarts run.
+  It is reported but not gated: it has no committed baseline yet.
 
 Wall-clock numbers are machine-dependent, so the regression gate never
 compares raw seconds across machines: every run also times a fixed
@@ -33,13 +37,14 @@ from typing import Callable, Dict, List, Tuple
 
 import numpy as np
 
-from repro.cluster import ClusterConfig, ClusterSimulator
+from repro.cluster import ClusterConfig, ClusterSimulator, FaultConfig
 from repro.core.config import TurboConfig
 from repro.core.decode import turbo_decode_steps
 from repro.core.prefill import turbo_prefill
 from repro.perf.attention_costs import METHODS
 from repro.perf.e2e import ModelGeometry
-from repro.serving import ServingEngine, poisson_workload
+from repro.recover import RecoverConfig
+from repro.serving import EngineConfig, ServingEngine, poisson_workload
 
 __all__ = [
     "GATED_METRICS",
@@ -48,6 +53,7 @@ __all__ = [
     "bench_decode",
     "bench_engine",
     "bench_prefill",
+    "bench_recover",
     "calibrate",
     "compare_to_baseline",
     "format_table",
@@ -189,6 +195,31 @@ def bench_cluster(quick: bool = False, repeats: int = 5) -> Dict[str, float]:
     return {"cluster_wall_s": best, "cluster_rps": n_req / best}
 
 
+def bench_recover(quick: bool = False, repeats: int = 3) -> Dict[str, float]:
+    """Two-replica fleet with crashes and a snapshot every 0.5 s per replica."""
+    n_req = 60 if quick else 200
+    requests = poisson_workload(
+        n_req, arrival_rate=2.0, prompt_range=(512, 2048),
+        gen_range=(64, 256), rng=np.random.default_rng(5), n_sessions=16,
+    )
+    config = ClusterConfig(
+        n_replicas=2, policy="least_kv", engine=EngineConfig(prefill_chunk=256),
+        faults=FaultConfig(
+            seed=7, crash_rate=0.02, crash_downtime_s=2.0, max_retries=5
+        ),
+        recover=RecoverConfig(snapshot_interval_s=0.5, corrupt_rate=0.2, seed=0),
+    )
+    best = float("inf")
+    for _ in range(max(1, repeats)):
+        sim = ClusterSimulator(MODEL, METHODS["turbo4"], config)
+        t0 = time.perf_counter()
+        metrics = sim.run(requests)
+        best = min(best, time.perf_counter() - t0)
+        total = metrics.completed + metrics.failed + metrics.rejected + metrics.shed
+        assert total == n_req
+    return {"recover_wall_s": best, "recover_snapshots": metrics.snapshots_taken}
+
+
 def run_speed_suite(quick: bool = False) -> Dict[str, float]:
     """Run every scenario; returns one flat metric dict (plus the probe)."""
     out: Dict[str, float] = {"quick": bool(quick), "calibration_s": calibrate()}
@@ -196,6 +227,7 @@ def run_speed_suite(quick: bool = False) -> Dict[str, float]:
     out.update(bench_decode(quick))
     out.update(bench_engine(quick))
     out.update(bench_cluster(quick))
+    out.update(bench_recover(quick))
     return out
 
 

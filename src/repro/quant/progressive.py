@@ -24,14 +24,34 @@ from typing import Optional, Union
 import numpy as np
 
 __all__ = [
+    "LEGAL_BITS",
     "ProgressiveConfig",
     "ProgressiveBlock",
     "pq_compress",
     "pq_decompress_to_int8",
     "pq_dequantize",
+    "legal_bits",
 ]
 
 _INT8_CLAMP = 127
+
+#: Storage widths the progressive stage, the code packer and the
+#: serialized schema support.
+LEGAL_BITS = (2, 3, 4, 8)
+_LEGAL_BITS_SET = frozenset(LEGAL_BITS)
+
+
+def legal_bits(bits: Union[int, float, np.ndarray]) -> bool:
+    """Whether every entry of ``bits`` (a scalar or any array) is in
+    :data:`LEGAL_BITS`.
+
+    Equivalent to ``np.isin(bits, LEGAL_BITS).all()`` — ``4.0`` is legal;
+    ``1``, ``5``, ``4.5`` and NaN are not — as a set test over the Python
+    values, which costs a fraction of ``np.isin`` on the few-entry
+    per-head arrays every cache block carries.  Callers raise their own
+    error type on ``False``.
+    """
+    return _LEGAL_BITS_SET.issuperset(np.ravel(bits).tolist())
 
 
 @dataclass(frozen=True)
@@ -51,7 +71,7 @@ class ProgressiveConfig:
     token_axis: int = -2
 
     def __post_init__(self) -> None:
-        if self.bits not in (2, 3, 4, 8):
+        if self.bits not in LEGAL_BITS:
             raise ValueError(f"unsupported progressive bit-width: {self.bits}")
 
 
@@ -122,7 +142,7 @@ def pq_compress(
     """
     q1 = np.asarray(q1_codes, dtype=np.int32)
     bits_arr = np.asarray(bits)
-    if np.any(~np.isin(bits_arr, (2, 3, 4, 8))):
+    if not legal_bits(bits_arr):
         raise ValueError(f"unsupported progressive bit-width(s): {np.unique(bits_arr)}")
     hi = 2**bits_arr.astype(np.int32) - 1
     cmin = q1.min(axis=token_axis, keepdims=True)

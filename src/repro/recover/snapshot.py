@@ -3,12 +3,16 @@
 A snapshot is taken at a kernel-event boundary — the only instant a
 replica's state is quiescent — and captures everything a warm restart
 needs: the live request records (progress copied by value, since live
-records keep mutating), a miniature-but-faithful serialized KV state
-built through the real :mod:`repro.core.serialization` schema (packed
-codes + CRC32 checksums), the prefix pool's refcount summary, and the
-brownout level.  Its byte cost is the *real* cost of persisting the
-resident cache at the admitted KV widths — which is the whole point:
-a turbo4 cache snapshots ~4x cheaper than FP16, so aggressive intervals
+records keep mutating), the prefix pool's refcount summary, and the
+brownout level.  The resident cache itself is not serialized: each epoch
+carries a fixed-geometry miniature KV payload keyed by ``(seed, replica,
+epoch)`` (:func:`snapshot_payload`), built through the real
+:mod:`repro.core.serialization` schema (packed codes + CRC32 checksums)
+so at-rest corruption and salvage run the production code.  The
+snapshot's byte cost is priced separately, as the *real* cost of
+persisting each captured request's context at its admitted KV width
+(:func:`repro.migrate.kv_wire_bytes`) — which is the whole point: a
+turbo4 cache snapshots ~4x cheaper than FP16, so aggressive intervals
 are affordable only under compression.
 
 On restart the recovery ladder runs, newest epoch first:
@@ -36,18 +40,14 @@ from typing import Deque, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.buffer import DecodeBuffer
-from repro.core.kvcache import QuantizedKVCache
 from repro.core.serialization import (
     CacheCorruptionError,
     salvage_state,
     state_digest,
     state_from_arrays,
-    state_to_arrays,
 )
-from repro.core.turbo import TurboKVState
 from repro.guard.chaos import CORRUPTION_KINDS, ChaosInjector
-from repro.migrate import kv_wire_bytes
+from repro.migrate import kv_wire_bytes, miniature_payload
 from repro.recover.config import RecoverConfig
 from repro.recover.wal import WriteAheadLog
 
@@ -107,6 +107,7 @@ class EngineSnapshot:
     #: blake2b identity over the canonical snapshot content, including
     #: the serialized KV payload's :func:`repro.core.serialization.
     #: state_digest` — two runs snapshotting the same state digest equal.
+    #: It labels the ``snapshot_taken`` trace mark; no restore checks it.
     digest: str = ""
 
 
@@ -137,26 +138,11 @@ def snapshot_payload(
 
     Keyed ``[seed, salt, replica, epoch]`` — deterministic per epoch,
     independent of the migration payload streams (different salt) and of
-    every other replica/epoch.
+    every other replica/epoch — and packed at 4 bits per code.
     """
-    rng = np.random.default_rng([config.seed, _PAYLOAD_SALT, replica_id, epoch])
-    heads, dim = config.payload_heads, config.payload_head_dim
-    head_bits = np.full(heads, 4, dtype=np.int32)
-    cache = QuantizedKVCache(
-        heads, dim, head_bits=head_bits, block_size=config.payload_block_tokens
+    return miniature_payload(
+        [config.seed, _PAYLOAD_SALT, replica_id, epoch], 4, config
     )
-    scale = np.ones((heads, 1, 1))
-    for _ in range(config.payload_blocks):
-        k = rng.integers(-100, 101, size=(heads, config.payload_block_tokens, dim))
-        v = rng.integers(-100, 101, size=(heads, config.payload_block_tokens, dim))
-        cache.append_block(
-            k.astype(np.int8), v.astype(np.int8), k_scale=scale, v_scale=scale
-        )
-    buffer = DecodeBuffer(
-        heads, dim, capacity=config.payload_block_tokens, k_scale=scale, v_scale=scale
-    )
-    state = TurboKVState(cache=cache, buffer=buffer, head_bits=head_bits)
-    return state_to_arrays(state, checksums=True)
 
 
 def corrupt_snapshot_payload(

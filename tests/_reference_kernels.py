@@ -5,6 +5,8 @@ integer GEMMs, precomputed running-max trajectories, BLAS-backed integer
 matmul).  These oracles keep the naive shape — one tile or span per
 Python-loop iteration, integer matmul in an int64 accumulator — so the
 tests can assert the vectorized rewrites changed *nothing*, bit for bit.
+The same holds for the miniature serialized KV payload: one draw and one
+``append_block`` per block.
 
 They intentionally share the primitive helpers (``quantize_tile``, the
 SAS/exp factory, the causal mask) with the production code: those are
@@ -14,17 +16,24 @@ engine are.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.attention.masks import causal_mask_block
+from repro.core.buffer import DecodeBuffer
 from repro.core.config import TurboConfig
+from repro.core.kvcache import QuantizedKVCache
 from repro.core.prefill import _exp_fn, quantize_tile
+from repro.core.serialization import state_digest, state_to_arrays
+from repro.core.turbo import TurboKVState
 
 __all__ = [
+    "ODD_PAYLOAD_GEOMETRY",
+    "assert_same_payload",
     "naive_int_matmul",
     "reference_decode_attend",
+    "reference_miniature_payload",
     "reference_prefill_attention",
 ]
 
@@ -152,3 +161,52 @@ def reference_decode_attend(
     out = acc / safe_l[..., None]
     lse = np.where(l > 0, m + np.log(safe_l), -np.inf)
     return out.reshape(hq, d), lse.reshape(hq)
+
+
+#: A payload geometry where no dimension is a power of two or equal to
+#: another, next to the configs' defaults (8 blocks x 16 x 2 x 8).
+ODD_PAYLOAD_GEOMETRY = dict(
+    payload_blocks=3, payload_block_tokens=5, payload_heads=3, payload_head_dim=7
+)
+
+
+def reference_miniature_payload(
+    key: Sequence[int], bits: int, geometry
+) -> Dict[str, np.ndarray]:
+    """Per-block loop build of the miniature serialized KV payload.
+
+    One K draw, then one V draw, then one ``append_block`` per block —
+    the loop :func:`repro.migrate.miniature_payload` vectorizes.
+    ``geometry`` carries the ``payload_*`` fields of a
+    :class:`~repro.migrate.MigrationConfig` or
+    :class:`~repro.recover.RecoverConfig`.
+    """
+    rng = np.random.default_rng(key)
+    heads, dim = geometry.payload_heads, geometry.payload_head_dim
+    head_bits = np.full(heads, bits, dtype=np.int32)
+    cache = QuantizedKVCache(
+        heads, dim, head_bits=head_bits, block_size=geometry.payload_block_tokens
+    )
+    scale = np.ones((heads, 1, 1))
+    for _ in range(geometry.payload_blocks):
+        k = rng.integers(-100, 101, size=(heads, geometry.payload_block_tokens, dim))
+        v = rng.integers(-100, 101, size=(heads, geometry.payload_block_tokens, dim))
+        cache.append_block(
+            k.astype(np.int8), v.astype(np.int8), k_scale=scale, v_scale=scale
+        )
+    buffer = DecodeBuffer(
+        heads, dim, capacity=geometry.payload_block_tokens, k_scale=scale, v_scale=scale
+    )
+    state = TurboKVState(cache=cache, buffer=buffer, head_bits=head_bits)
+    return state_to_arrays(state, checksums=True)
+
+
+def assert_same_payload(got: Dict[str, np.ndarray], want: Dict[str, np.ndarray]) -> None:
+    """Two serialized payloads hold the same keys and, per key, the same
+    dtype, shape and bytes — and hence the same ``state_digest``."""
+    assert sorted(got) == sorted(want)
+    for key in want:
+        a, b = np.asarray(got[key]), np.asarray(want[key])
+        assert a.dtype == b.dtype and a.shape == b.shape, key
+        assert a.tobytes() == b.tobytes(), key
+    assert state_digest(got) == state_digest(want)

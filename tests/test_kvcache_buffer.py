@@ -5,6 +5,9 @@ import pytest
 
 from repro.core.buffer import DecodeBuffer
 from repro.core.kvcache import QuantizedKVCache
+from repro.core.serialization import state_digest, state_to_arrays
+from repro.core.turbo import TurboKVState
+from repro.quant.progressive import pq_compress
 from repro.quant.schemes import quantize_symmetric
 
 
@@ -130,6 +133,76 @@ class TestQuantizedKVCache:
             np.testing.assert_array_equal(a.k.bits, b.k.bits)
             np.testing.assert_array_equal(a.k.codes, b.k.codes)
             np.testing.assert_array_equal(a.v.codes, b.v.codes)
+
+
+class TestAppendBlocks:
+    """One stacked compression equals one compression per block."""
+
+    def _caches(self, rng, head_bits, n, length=16, d=8):
+        head_bits = np.asarray(head_bits, dtype=np.int32)
+        h = head_bits.size
+        k = rng.integers(-119, 120, size=(n, h, length, d)).astype(np.int8)
+        v = rng.integers(-119, 120, size=(n, h, length, d)).astype(np.int8)
+        ks = rng.uniform(0.01, 2.0, size=(n, h, 1, 1))  # per-block scales
+        vs = rng.uniform(0.01, 2.0, size=(n, h, 1, 1))
+        stacked = QuantizedKVCache(h, d, head_bits=head_bits, block_size=16)
+        looped = QuantizedKVCache(h, d, head_bits=head_bits, block_size=16)
+        returned = stacked.append_blocks(k, v, ks, vs)
+        assert returned == stacked.blocks[-n:]
+        for i in range(n):
+            looped.append_block(k[i], v[i], ks[i], vs[i])
+        bits = head_bits.reshape(-1, 1, 1)
+        direct = [
+            (pq_compress(k[i], bits=bits, float_scale=ks[i]),
+             pq_compress(v[i], bits=bits, float_scale=vs[i]))
+            for i in range(n)
+        ]
+        return stacked, looped, direct
+
+    @staticmethod
+    def _assert_same(a, b):
+        for field in ("codes", "s_int", "z_int", "float_scale"):
+            x, y = getattr(a, field), getattr(b, field)
+            assert x.dtype == y.dtype and x.shape == y.shape, field
+            assert x.tobytes() == y.tobytes(), field
+        np.testing.assert_array_equal(a.bits, b.bits)
+        assert a.storage_bits == b.storage_bits
+
+    @staticmethod
+    def _digest(cache):
+        h = cache.n_heads
+        one = np.ones((h, 1, 1))
+        buffer = DecodeBuffer(h, cache.head_dim, capacity=4, k_scale=one, v_scale=one)
+        state = TurboKVState(cache=cache, buffer=buffer, head_bits=cache.head_bits)
+        return state_digest(state_to_arrays(state))
+
+    @pytest.mark.parametrize("head_bits", [[4, 4], [2, 8, 3], [8], [2, 3, 4, 8]])
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_equals_loop_of_append_block(self, rng, head_bits, n):
+        stacked, looped, direct = self._caches(rng, head_bits, n)
+        assert len(stacked) == len(looped) == n
+        for a, b, (dk, dv) in zip(stacked.blocks, looped.blocks, direct):
+            assert a.length == b.length == 16
+            self._assert_same(a.k, b.k)
+            self._assert_same(a.v, b.v)
+            self._assert_same(a.k, dk)
+            self._assert_same(a.v, dv)
+            assert a.storage_bits == b.storage_bits
+        assert stacked.storage_bits == looped.storage_bits
+        assert self._digest(stacked) == self._digest(looped)
+
+    def test_validation(self, rng):
+        cache = QuantizedKVCache(2, 8, head_bits=np.full(2, 4), block_size=16)
+        codes = np.zeros((3, 2, 16, 8), dtype=np.int8)
+        scales = np.ones((3, 2, 1, 1))
+        with pytest.raises(ValueError):
+            cache.append_blocks(codes, codes[:2], scales, scales)  # K/V mismatch
+        with pytest.raises(ValueError):
+            cache.append_blocks(codes, codes, scales[0], scales[0])  # no block axis
+        with pytest.raises(ValueError):
+            cache.append_blocks(np.zeros((3, 2, 32, 8)), np.zeros((3, 2, 32, 8)),
+                                scales, scales)  # longer than block_size
+        assert len(cache) == 0
 
 
 class TestDecodeBuffer:

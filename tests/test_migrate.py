@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.serialization import state_digest
 from repro.migrate import (
     HandoffOutcome,
     MigrationConfig,
@@ -15,6 +16,11 @@ from repro.migrate import (
 from repro.perf.attention_costs import METHODS
 from repro.perf.e2e import ModelGeometry
 from repro.perf.gpu import A100_80GB, H100_80GB
+from tests._reference_kernels import (
+    ODD_PAYLOAD_GEOMETRY,
+    assert_same_payload,
+    reference_miniature_payload,
+)
 
 
 @pytest.fixture(scope="module")
@@ -154,6 +160,33 @@ class TestHandoffPayload:
         # Same salvaged block fraction mapped onto different prompts.
         assert small.valid_tokens * 4096 == pytest.approx(
             large.valid_tokens * 128, rel=0.1
+        )
+
+    @pytest.mark.parametrize(
+        "geometry", [{}, ODD_PAYLOAD_GEOMETRY], ids=["default", "odd"]
+    )
+    @pytest.mark.parametrize("kv_bits, width", [(2.3, 2), (3.5, 3), (4.3, 4), (16.0, 8)])
+    def test_payload_matches_loop_oracle(self, kv_bits, width, geometry):
+        # build_payload is the shared vectorized builder under the handoff
+        # key; it must match the per-block loop byte for byte.
+        cfg = MigrationConfig(**geometry)
+        for seed in (0, 42):
+            for request_id in (0, 7):
+                for attempt in (0, 2):
+                    assert_same_payload(
+                        build_payload(request_id, attempt, seed, kv_bits, cfg),
+                        reference_miniature_payload(
+                            [seed, request_id, attempt], width, cfg
+                        ),
+                    )
+
+    def test_digests_recorded_before_vectorizing(self):
+        assert state_digest(build_payload(7, 0, 42, 4.3, self.CFG)) == (
+            "995f7f4306274420ba28ae4f76855bb1"
+        )
+        odd = MigrationConfig(**ODD_PAYLOAD_GEOMETRY)
+        assert state_digest(build_payload(9, 2, 17, 2.3, odd)) == (
+            "64db93ab449b5afd7a4d2126101d3b0b"
         )
 
     def test_config_validation(self):

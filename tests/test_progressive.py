@@ -6,7 +6,9 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.quant.progressive import (
+    LEGAL_BITS,
     ProgressiveConfig,
+    legal_bits,
     pq_compress,
     pq_decompress_to_int8,
     pq_dequantize,
@@ -79,6 +81,30 @@ class TestCompress:
     def test_invalid_bits_raise(self, rng):
         with pytest.raises(ValueError):
             pq_compress(_random_codes(rng), bits=5, float_scale=1.0)
+
+    @pytest.mark.parametrize("bad", [1, 5, 4.5, float("nan")])
+    def test_rejects_every_width_isin_rejected(self, rng, bad):
+        codes = _random_codes(rng)
+        with pytest.raises(ValueError):
+            pq_compress(codes, bits=bad, float_scale=1.0)
+        per_head = np.array([4, bad]).reshape(-1, 1, 1)
+        with pytest.raises(ValueError):
+            pq_compress(codes, bits=per_head, float_scale=1.0)
+
+    def test_accepts_integral_float_width(self, rng):
+        codes = _random_codes(rng)
+        for bits in (4.0, np.array([4.0, 2.0]).reshape(-1, 1, 1)):
+            block = pq_compress(codes, bits=bits, float_scale=1.0)
+            assert block.codes.max() <= 15
+
+    def test_legal_bits_agrees_with_isin(self):
+        values = [2, 3, 4, 8, 4.0, np.float32(8.0), 0, 1, 5, 16, -4, 4.5,
+                  float("nan"), float("inf"), True]
+        for x in values:
+            assert legal_bits(x) == bool(np.isin(x, LEGAL_BITS)), x
+        for arr in (np.array([2, 4, 8], np.int8), np.array([2, 7]),
+                    np.array([[4.0], [2.0]]), np.array([], dtype=np.int32)):
+            assert legal_bits(arr) == bool(np.all(np.isin(arr, LEGAL_BITS))), arr
 
     @given(int8_blocks, st.sampled_from([2, 4]))
     @settings(max_examples=40, deadline=None)

@@ -15,8 +15,10 @@ from repro.core.serialization import (
     state_digest,
     state_from_arrays,
 )
+from repro.migrate import miniature_payload
 from repro.perf.attention_costs import METHODS
 from repro.perf.e2e import ModelGeometry
+from repro.quant.progressive import LEGAL_BITS
 from repro.recover import (
     FleetOp,
     RecoverConfig,
@@ -26,10 +28,16 @@ from repro.recover import (
     take_snapshot,
     verify_snapshot,
 )
+from repro.recover.snapshot import _PAYLOAD_SALT
 from repro.serving import EngineConfig, Request, ServingEngine
 from repro.serving.request import RequestRecord, RequestStatus
 from repro.serving.workload import ramp_workload
 from repro.sim import ListTraceSink, diff_traces, format_diff, trace_digest
+from tests._reference_kernels import (
+    ODD_PAYLOAD_GEOMETRY,
+    assert_same_payload,
+    reference_miniature_payload,
+)
 
 
 @pytest.fixture(scope="module")
@@ -188,6 +196,50 @@ class TestSnapshotPayload:
         a, _ = corrupt_snapshot_payload(snapshot_payload(2, 9, self.CFG), 2, 9, self.CFG)
         b, _ = corrupt_snapshot_payload(snapshot_payload(2, 9, self.CFG), 2, 9, self.CFG)
         assert state_digest(a) == state_digest(b)
+
+
+class TestSnapshotPayloadBytes:
+    """The snapshot payload is the shared vectorized builder under the
+    snapshot key; it must match the per-block loop oracle byte for byte."""
+
+    @pytest.mark.parametrize(
+        "geometry", [{}, ODD_PAYLOAD_GEOMETRY], ids=["default", "odd"]
+    )
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_entry_point_matches_loop_oracle(self, seed, geometry):
+        cfg = RecoverConfig(seed=seed, **geometry)
+        for replica in (0, 2):
+            for epoch in (0, 1, 9):
+                key = [seed, _PAYLOAD_SALT, replica, epoch]
+                assert_same_payload(
+                    snapshot_payload(replica, epoch, cfg),
+                    reference_miniature_payload(key, 4, cfg),
+                )
+
+    @pytest.mark.parametrize(
+        "geometry", [{}, ODD_PAYLOAD_GEOMETRY], ids=["default", "odd"]
+    )
+    @pytest.mark.parametrize("bits", LEGAL_BITS)
+    def test_shared_builder_matches_loop_oracle_at_every_width(self, bits, geometry):
+        cfg = RecoverConfig(**geometry)
+        for seed in (0, 5):
+            for replica, epoch in ((0, 0), (3, 7)):
+                key = [seed, _PAYLOAD_SALT, replica, epoch]
+                assert_same_payload(
+                    miniature_payload(key, bits, cfg),
+                    reference_miniature_payload(key, bits, cfg),
+                )
+
+    def test_digests_recorded_before_vectorizing(self):
+        # Literal digests of the per-block loop build; a change to the
+        # draw order, the compression or the schema moves them.
+        assert state_digest(snapshot_payload(0, 4, RecoverConfig(seed=3))) == (
+            "45dfc0912692c040d5386d8fa70cc94f"
+        )
+        odd = RecoverConfig(seed=1, **ODD_PAYLOAD_GEOMETRY)
+        assert state_digest(snapshot_payload(2, 7, odd)) == (
+            "4f14a3a2d887c074cbdca0924e19625a"
+        )
 
 
 class TestTakeAndVerifySnapshot:

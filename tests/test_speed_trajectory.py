@@ -41,6 +41,10 @@ class TestScenarios:
             quick_suite["decode_s"] / 64 * 1e3
         )
 
+    def test_recover_scenario_reaches_the_snapshot_path(self, quick_suite):
+        assert quick_suite["recover_wall_s"] > 0
+        assert quick_suite["recover_snapshots"] > 0
+
     def test_pre_pr_records_every_gated_metric(self):
         for name, _direction in speed.GATED_METRICS:
             assert name in speed.PRE_PR
@@ -138,3 +142,8 @@ class TestCli:
         out = capsys.readouterr().out
         assert "cumulative" in out
         assert "turbo_prefill" in out
+
+    def test_profile_recover_reaches_take_snapshot(self, capsys):
+        assert main(["profile", "recover", "--top", "40"]) == 0
+        out = capsys.readouterr().out
+        assert "take_snapshot" in out
