@@ -27,7 +27,8 @@ class TurboConfig:
         Key/value tile size ``B_c`` (also the cache block size).
     buffer_size:
         Decode buffer capacity ``n_b``; the buffer flushes into the
-        progressive cache every ``buffer_size`` generated tokens.
+        progressive cache every ``buffer_size`` generated tokens, one
+        cache block per flush, so it may not exceed ``block_k``.
     kv_bits:
         Storage bit-width of the KV cache when mixed precision is off.
     mixed_precision:
@@ -74,6 +75,11 @@ class TurboConfig:
             raise ValueError("block sizes must be positive")
         if self.buffer_size <= 0:
             raise ValueError("buffer_size must be positive")
+        if self.buffer_size > self.block_k:
+            raise ValueError(
+                f"buffer_size {self.buffer_size} exceeds block_k {self.block_k}: "
+                "each buffer flush must fit in one cache block"
+            )
         if self.kv_bits not in LEGAL_BITS:
             raise ValueError(f"unsupported kv_bits: {self.kv_bits}")
         if not 0.0 <= self.two_bit_fraction <= 1.0:

@@ -58,7 +58,7 @@ def test_prefill_matches_loop_oracle(hq, hkv, kv_bits):
     "kwargs",
     [
         {"use_sas": False},
-        {"block_q": 48, "block_k": 56, "buffer_size": 64},
+        {"block_q": 48, "block_k": 56, "buffer_size": 56},
     ],
     ids=["nosas", "ragged"],
 )

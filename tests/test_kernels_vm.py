@@ -82,7 +82,7 @@ class TestProgramNumerics:
         out, _ = run_attention_program("turbo", q, k, v, block_q=32, block_k=32)
         res = turbo_prefill(
             q[None], k[None], v[None],
-            TurboConfig(block_q=32, block_k=32), np.array([4]), causal=False,
+            TurboConfig(block_q=32, block_k=32, buffer_size=32), np.array([4]), causal=False,
         )
         np.testing.assert_array_equal(out, res.output[0])
 
@@ -92,7 +92,7 @@ class TestProgramNumerics:
         out, _ = run_attention_program("turbo", q, k, v, block_q=bq, block_k=bk)
         res = turbo_prefill(
             q[None], k[None], v[None],
-            TurboConfig(block_q=bq, block_k=bk), np.array([4]), causal=False,
+            TurboConfig(block_q=bq, block_k=bk, buffer_size=bk), np.array([4]), causal=False,
         )
         np.testing.assert_array_equal(out, res.output[0])
 

@@ -158,6 +158,8 @@ class TestConfigValidation:
             {"two_bit_fraction": 1.5},
             {"head_selection": "magic"},
             {"int8_max_code": 0},
+            # A flush of 64 buffered tokens cannot fit a 56-token block.
+            {"block_q": 48, "block_k": 56, "buffer_size": 64},
         ],
     )
     def test_invalid_configs(self, kwargs):

@@ -31,7 +31,7 @@ class TestQuantizeTile:
 class TestPrefillAccuracy:
     def test_close_to_reference(self, qkv):
         q, k, v = qkv
-        cfg = TurboConfig(block_q=32, block_k=32, kv_bits=4)
+        cfg = TurboConfig(block_q=32, block_k=32, buffer_size=32, kv_bits=4)
         res = turbo_prefill(q, k, v, cfg, _bits(4), causal=False)
         expected = reference_attention(q, k, v)
         rel = np.linalg.norm(res.output - expected) / np.linalg.norm(expected)
@@ -40,7 +40,7 @@ class TestPrefillAccuracy:
     def test_causal_close_to_reference(self, qkv):
         q, k, v = qkv
         n = q.shape[1]
-        cfg = TurboConfig(block_q=32, block_k=32)
+        cfg = TurboConfig(block_q=32, block_k=32, buffer_size=32)
         res = turbo_prefill(q, k, v, cfg, _bits(4), causal=True)
         expected = reference_attention(q, k, v, mask=causal_mask(n, n))
         rel = np.linalg.norm(res.output - expected) / np.linalg.norm(expected)
@@ -58,7 +58,7 @@ class TestPrefillAccuracy:
 
     def test_lse_close(self, qkv):
         q, k, v = qkv
-        cfg = TurboConfig(block_q=32, block_k=32)
+        cfg = TurboConfig(block_q=32, block_k=32, buffer_size=32)
         res = turbo_prefill(q, k, v, cfg, _bits(4), causal=False)
         _, lse = reference_attention(q, k, v, return_lse=True)
         assert np.max(np.abs(res.lse - lse)) < 0.05
@@ -67,7 +67,7 @@ class TestPrefillAccuracy:
     def test_block_size_robustness(self, qkv, bq, bk):
         q, k, v = qkv
         n = q.shape[1]
-        cfg = TurboConfig(block_q=bq, block_k=bk)
+        cfg = TurboConfig(block_q=bq, block_k=bk, buffer_size=bk)
         res = turbo_prefill(q, k, v, cfg, _bits(4), causal=True)
         expected = reference_attention(q, k, v, mask=causal_mask(n, n))
         rel = np.linalg.norm(res.output - expected) / np.linalg.norm(expected)
@@ -77,7 +77,7 @@ class TestPrefillAccuracy:
         q, k, v = qkv
         errs = {}
         for bits in (2, 4, 8):
-            cfg = TurboConfig(block_q=32, block_k=32)
+            cfg = TurboConfig(block_q=32, block_k=32, buffer_size=32)
             res = turbo_prefill(q, k, v, cfg, _bits(4, bits), causal=False)
             # Storage bits only affect the cache, not the prefill output;
             # measure decode-path reconstruction via the cache instead.
@@ -94,7 +94,7 @@ class TestPrefillAccuracy:
         q = rng.standard_normal((hq, n, d))
         k = rng.standard_normal((hkv, n, d))
         v = rng.standard_normal((hkv, n, d))
-        cfg = TurboConfig(block_q=32, block_k=32)
+        cfg = TurboConfig(block_q=32, block_k=32, buffer_size=32)
         res = turbo_prefill(q, k, v, cfg, _bits(hkv), causal=False)
         expected = reference_attention(
             q, np.repeat(k, 4, axis=0), np.repeat(v, 4, axis=0)
@@ -130,7 +130,7 @@ class TestPrefillStorage:
     def test_universal_scale_from_prefill_max(self, rng):
         h, n, d = 2, 64, 16
         q, k, v = (rng.standard_normal((h, n, d)) for _ in range(3))
-        cfg = TurboConfig(block_q=32, block_k=32)
+        cfg = TurboConfig(block_q=32, block_k=32, buffer_size=32)
         res = turbo_prefill(q, k, v, cfg, _bits(h), causal=True)
         expected = np.abs(k).max(axis=(-2, -1), keepdims=True) / 119
         np.testing.assert_allclose(res.buffer.k_scale, expected)
