@@ -1,4 +1,5 @@
-"""TurboAttention decode kernel (paper Algorithm 2).
+"""TurboAttention decode kernel (paper Algorithm 2) and the INT8 attention
+core it shares with the prefill kernel (Algorithm 1).
 
 One autoregressive step: the new token's K/V are staged into the INT8
 buffer (frozen universal scale, outliers clamped), the query is quantized
@@ -14,6 +15,11 @@ compression), so the number of cached FP16 bytes is always zero — the
 property that distinguishes TurboAttention from KIVI/GEAR's FP16 residual
 windows.
 
+Algorithm 2's inner loop is Algorithm 1's tiled INT8 x SAS online softmax
+run for one query row, so both kernels share one flattened implementation
+of it, :func:`_attend_tiles`; the per-tile and per-span loops it replaces
+remain as the guard and ablation paths.
+
 :func:`turbo_decode_step_split_k` is the FlashDecoding-composed variant:
 cache blocks are partitioned into splits, each split runs the same integer
 inner loop independently, and the partial ``(output, logsumexp)`` pairs
@@ -28,6 +34,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.attention.masks import causal_mask_block
 from repro.attention.split_k import merge_partials
 from repro.core.buffer import DecodeBuffer
 from repro.core.config import TurboConfig
@@ -39,11 +46,32 @@ from repro.quant.integer_gemm import int_matmul
 from repro.quant.progressive import pq_decompress_to_int8
 from repro.sas.softmax import shared_sas
 
-__all__ = ["turbo_decode_step", "turbo_decode_steps", "turbo_decode_step_split_k"]
+__all__ = [
+    "quantize_tile",
+    "turbo_decode_step",
+    "turbo_decode_steps",
+    "turbo_decode_step_split_k",
+]
 
 Span = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 _INT32_MAX = np.iinfo(np.int32).max
+
+
+def quantize_tile(
+    x: np.ndarray, max_code: int, scale: Optional[np.ndarray] = None
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Symmetric INT8 quantization with one scalar scale per leading index.
+
+    Statistics reduce over the last two axes (tokens x channels of a tile),
+    matching Algorithm 1's ``s = max(abs(X)) / 119`` per tile.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    if scale is None:
+        absmax = np.abs(x).max(axis=(-2, -1), keepdims=True)
+        scale = np.maximum(absmax, 1e-12) / float(max_code)
+    codes = np.clip(np.rint(x / scale), -max_code, max_code).astype(np.int8)
+    return codes, scale
 
 
 def _exp_fn(config: TurboConfig) -> Callable[[np.ndarray], np.ndarray]:
@@ -52,50 +80,179 @@ def _exp_fn(config: TurboConfig) -> Callable[[np.ndarray], np.ndarray]:
     return lambda x: np.where(np.isfinite(x), np.exp(np.minimum(x, 0.0)), 0.0)
 
 
-def _quantize_query(q_t: np.ndarray, hkv: int, g: int, d: int, mc: int):
-    qg = np.asarray(q_t, dtype=np.float64).reshape(hkv, g, 1, d)
-    q_absmax = np.maximum(np.abs(qg).max(axis=(-2, -1), keepdims=True), 1e-12)
-    q_scale = q_absmax / float(mc)
-    qc = np.clip(np.rint(qg / q_scale), -mc, mc).astype(np.int8)
-    return qc, q_scale
+def _segment_max(x: np.ndarray, runs: Sequence[Tuple[int, int, int, int]]) -> np.ndarray:
+    """Per-segment ``max`` over the last axis of ``x``, one column per
+    segment; each run of equal-length segments reshapes to a dense axis."""
+    parts = [
+        x[..., c0 : c0 + (j1 - j0) * length]
+        .reshape(x.shape[:-1] + (j1 - j0, length))
+        .max(axis=-1)
+        for j0, j1, c0, length in runs
+    ]
+    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
+
+
+def _attend_tiles(
+    q: np.ndarray,
+    block_q: int,
+    spans: Sequence[Span],
+    exp: Callable[[np.ndarray], np.ndarray],
+    scale: float,
+    mc: int,
+    causal_offset: Optional[int] = None,
+) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """Flattened INT8 x SAS online-softmax attention: the inner loop of
+    Algorithms 1 and 2 over whole key rows.
+
+    ``q`` has shape ``(hkv, g, n, d)`` and is quantized in tiles of
+    ``block_q`` rows; ``spans`` are the K/V code segments in key order,
+    each ``(k_codes, v_codes, k_scale, v_scale)`` with one scalar scale
+    per KV head.  Each query tile attends over a prefix of the
+    concatenated segments: all of them, or with ``causal_offset``
+    (``n_keys - n`` of a causal prefill) those that start at or before
+    its last row, under the causal additive mask.  Per tile that is one
+    integer QK GEMM, two ``exp`` calls (every running-max correction and
+    the whole probability row), one segmented P quantization and one
+    batched PV GEMM per run of equal-length segments.
+
+    Bit-identical to the per-tile/per-span loops (and their oracles in
+    ``tests/_reference_kernels.py``): integer GEMM columns are
+    independent, so slicing one concatenated product equals per-segment
+    products; ``max`` returns one of its inputs under any grouping, so
+    segmented maxes plus ``np.maximum.accumulate`` reproduce the
+    running-max trajectory; the exponential and the quantizer are
+    element-wise; and the ``l``/``acc`` folds keep the per-segment
+    recursion, whose float order matters (each segment's probability sum
+    is the same pairwise ``.sum`` over a slice of the same length).  The
+    PV products are exact integers in float64 BLAS under the int32 bound
+    checked first; when the actual code magnitudes cannot rule out int32
+    overflow this returns ``None`` and the caller runs its loop, whose
+    per-tile overflow policy then applies.
+
+    Returns ``(out (hkv, g, n, d), lse (hkv, g, n))``.  Query tiles loop
+    here rather than in the callers so the per-tile temporaries reuse
+    heap memory instead of being returned to the OS between tiles.
+    """
+    hkv, g, n, d = q.shape
+    q_tiles = [
+        (qs, *quantize_tile(q[:, :, qs : qs + block_q, :], mc))
+        for qs in range(0, n, block_q)
+    ]
+    k_all = np.concatenate([s[0] for s in spans], axis=-2)
+    v_all = np.concatenate([s[1] for s in spans], axis=-2)
+    lens = [s[0].shape[-2] for s in spans]
+    q_amax = max((int(np.max(np.abs(qc), initial=0)) for _, qc, _ in q_tiles), default=0)
+    k_amax = int(np.max(np.abs(k_all), initial=0))
+    v_amax = int(np.max(np.abs(v_all), initial=0))
+    if q_amax * k_amax * d > _INT32_MAX or mc * v_amax * max(lens) > _INT32_MAX:
+        return None
+
+    nseg = len(spans)
+    ends = np.cumsum(lens)
+    starts = ends - lens
+    k_scales = np.stack([np.reshape(s[2], hkv) for s in spans], axis=-1).reshape(
+        hkv, 1, 1, nseg
+    )
+    v_scales = np.stack([np.reshape(s[3], hkv) for s in spans], axis=-1).reshape(
+        hkv, 1, 1, nseg
+    )
+    kT = np.swapaxes(k_all, -1, -2)[:, None, :, :]  # (hkv, 1, d, keys)
+    # Maximal runs of equal-length segments, (first, stop, column, length):
+    # cache blocks share one size, so a history is one or a few runs.
+    breaks = [0] + [j for j in range(1, nseg) if lens[j] != lens[j - 1]] + [nseg]
+    runs = [(j0, j1, int(starts[j0]), lens[j0]) for j0, j1 in zip(breaks, breaks[1:])]
+    vf = None
+
+    out = np.zeros((hkv, g, n, d), dtype=np.float64)
+    lse = np.zeros((hkv, g, n), dtype=np.float64)
+    for qs, qc, q_scale in q_tiles:
+        nq = qc.shape[-2]
+        qe = qs + nq
+        if causal_offset is None:
+            j_lim = nseg
+        else:
+            j_lim = int(np.searchsorted(starts, qe - 1 + causal_offset, side="right"))
+        if j_lim == 0:
+            lse[:, :, qs:qe] = -np.inf
+            continue
+        seg_lens = lens[:j_lim]
+        kmax = int(ends[j_lim - 1])
+        tile_runs = [(j0, min(j1, j_lim), c0, ln) for j0, j1, c0, ln in runs if j0 < j_lim]
+
+        gemm = int_matmul(qc, kT[..., :kmax])
+        qk_scale = np.repeat(q_scale * k_scales[..., :j_lim], seg_lens, axis=-1)
+        s_row = (qk_scale * gemm) * scale
+        if causal_offset is not None:
+            s_row = s_row + causal_mask_block(qs, nq, 0, kmax, causal_offset)
+        m_new = np.maximum.accumulate(_segment_max(s_row, tile_runs), axis=-1)
+        m_prev = np.concatenate(
+            [np.full((hkv, g, nq, 1), -np.inf), m_new[..., :-1]], axis=-1
+        )
+        with np.errstate(invalid="ignore"):
+            corr_all = exp(m_prev - m_new)
+        corr_all = np.where(np.isfinite(m_prev), corr_all, 0.0)
+        p_row = exp(s_row - np.repeat(m_new, seg_lens, axis=-1))
+
+        # P quantizes per (tile, segment): the absmax spans the tile's rows.
+        p_absmax = _segment_max(np.abs(p_row), tile_runs).max(axis=2)
+        p_scale = np.maximum(p_absmax, 1e-12) / float(mc)  # (hkv, g, j_lim)
+        pc = np.clip(
+            np.rint(p_row / np.repeat(p_scale[:, :, None, :], seg_lens, axis=-1)), -mc, mc
+        ).astype(np.int8)
+        if vf is None:
+            vf = v_all.astype(np.float64)
+        pcf = pc.astype(np.float64)
+        pv_segs = []
+        for j0, j1, c0, ln in tile_runs:
+            cnt = j1 - j0
+            c1 = c0 + cnt * ln
+            block = (
+                pcf[..., c0:c1].reshape(hkv, g, nq, cnt, ln).transpose(0, 1, 3, 2, 4)
+                @ vf[:, None, c0:c1, :].reshape(hkv, 1, cnt, ln, d)
+            )  # (hkv, g, cnt, nq, d)
+            pv_segs.extend(block[:, :, i] for i in range(cnt))
+
+        l = np.zeros((hkv, g, nq))
+        acc = np.zeros((hkv, g, nq, d))
+        for j in range(j_lim):
+            corr = corr_all[..., j]
+            np.multiply(l, corr, out=l)
+            np.add(l, p_row[..., starts[j] : ends[j]].sum(axis=-1), out=l)
+            pv = (p_scale[..., j][..., None, None] * v_scales[..., j : j + 1]) * pv_segs[j]
+            np.multiply(acc, corr[..., None], out=acc)
+            np.add(acc, pv, out=acc)
+        safe_l = np.where(l > 0, l, 1.0)
+        out[:, :, qs:qe, :] = acc / safe_l[..., None]
+        lse[:, :, qs:qe] = np.where(l > 0, m_new[..., -1] + np.log(safe_l), -np.inf)
+    return out, lse
 
 
 def _attend_spans(
     spans: Sequence[Span],
-    qc: np.ndarray,
-    q_scale: np.ndarray,
+    q: np.ndarray,
     config: TurboConfig,
     exp: Callable[[np.ndarray], np.ndarray],
     scale: float,
-    hkv: int,
-    g: int,
-    d: int,
     guard: Optional[GuardConfig] = None,
     report: Optional[GuardReport] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Run Algorithm 2's integer inner loop over a list of INT8 spans.
+    """Run Algorithm 2's inner loop for one query row ``q``, shape
+    ``(hkv, g, 1, d)``, over a list of INT8 spans.
 
     Returns the normalized partial output ``(hkv, g, 1, d)`` and its
     logsumexp ``(hkv, g, 1)`` — the mergeable split-K contract.
 
-    The unguarded integer path dispatches to
-    :func:`_attend_spans_batched`, which produces bit-identical results
-    from whole-history GEMMs instead of a per-span loop; the span loop
-    below remains the reference (and the guard/ablation path, which needs
-    per-span scale screening and FP16 MatMuls).
+    The unguarded integer path runs :func:`_attend_tiles`; the span loop
+    below is the guard/ablation path (the guard screens each span's
+    scales in order) and the fallback when the int32 bound fails.
     """
-    if (
-        guard is None
-        and config.quantize_matmuls
-        and len(spans) > 0
-        and qc.shape[-2] == 1
-    ):
-        batched = _attend_spans_batched(
-            spans, qc, q_scale, config, exp, scale, hkv, g, d
-        )
-        if batched is not None:
-            return batched
     mc = config.int8_max_code
+    if guard is None and config.quantize_matmuls:
+        flat = _attend_tiles(q, 1, spans, exp, scale, mc)
+        if flat is not None:
+            return flat
+    hkv, g, _, d = q.shape
+    qc, q_scale = quantize_tile(q, mc)
 
     def _imatmul(a, b, where):
         if guard is not None:
@@ -125,9 +282,7 @@ def _attend_spans(
         p = exp(s_tile - m_new[..., None])
         l = corr * l + p.sum(axis=-1)
         if config.quantize_matmuls:
-            p_absmax = np.maximum(np.abs(p).max(axis=(-2, -1), keepdims=True), 1e-12)
-            p_scale = p_absmax / float(mc)
-            pc = np.clip(np.rint(p / p_scale), -mc, mc).astype(np.int8)
+            pc, p_scale = quantize_tile(p, mc)
             pv = (
                 p_scale
                 * np.reshape(v_scale, (hkv, 1, 1, 1))
@@ -145,138 +300,47 @@ def _attend_spans(
     return out, lse
 
 
-def _attend_spans_batched(
-    spans: Sequence[Span],
-    qc: np.ndarray,
-    q_scale: np.ndarray,
-    config: TurboConfig,
-    exp: Callable[[np.ndarray], np.ndarray],
-    scale: float,
-    hkv: int,
-    g: int,
-    d: int,
-) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-    """Flattened Algorithm 2 inner loop: one QK GEMM and one segmented PV
-    reduction over the concatenated history, bit-identical to the span
-    loop in :func:`_attend_spans`.
+def _gather_spans(
+    cache: QuantizedKVCache,
+    buffer: DecodeBuffer,
+    decoded: Optional[List[Span]] = None,
+) -> List[Span]:
+    """The spans a decode step attends over: every cache block
+    decompressed to INT8, then the buffer's codes.
 
-    Why identical: integer GEMM columns are independent, so slicing one
-    concatenated product equals per-span products; ``max`` is exact in
-    any order, so segmented ``maximum.reduceat`` + ``maximum.accumulate``
-    reproduces the running-max trajectory; the exponential and the
-    quantizer are element-wise, so one batched call over the row equals
-    per-span calls; and the ``l``/``acc`` online-softmax folds keep the
-    original per-span recursion (floats are order-sensitive there — each
-    span's probability sum still uses the same pairwise ``.sum`` on the
-    same-length slice).  Returns ``None`` when a worst-case accumulator
-    bound cannot be certified int32-safe — the caller's loop (and its
-    per-span overflow policy) then runs instead.
+    ``decoded`` holds the blocks earlier steps already decompressed and
+    is extended in place: blocks are immutable once appended (see
+    :meth:`~repro.core.kvcache.QuantizedKVCache.append_block`), so only
+    new ones are decompressed.
     """
-    mc = config.int8_max_code
-    nseg = len(spans)
-    lens = np.array([s[0].shape[-2] for s in spans], dtype=np.int64)
-    starts = np.zeros(nseg, dtype=np.int64)
-    np.cumsum(lens[:-1], out=starts[1:])
-    k_all = np.concatenate([s[0] for s in spans], axis=-2)
-    v_all = np.concatenate([s[1] for s in spans], axis=-2)
-    # The scalar loop's overflow guard triggers per span; bail to it when
-    # the batched bound (which is only ever looser) cannot rule overflow
-    # out, so the policy fires with the scalar path's exact semantics.
-    k_amax = int(np.max(np.abs(k_all), initial=0))
-    v_amax = int(np.max(np.abs(v_all), initial=0))
-    q_amax = int(np.max(np.abs(qc), initial=0))
-    if q_amax * k_amax * d > _INT32_MAX or mc * v_amax * int(lens.max()) > _INT32_MAX:
-        return None
-
-    gemm = int_matmul(qc, np.swapaxes(k_all, -1, -2)[:, None, :, :])
-    qk_scale = q_scale * np.stack(
-        [np.reshape(s[2], (hkv, 1, 1)) for s in spans], axis=-1
-    ).reshape(hkv, 1, 1, nseg)
-    s_row = (np.repeat(qk_scale, lens, axis=-1) * gemm) * scale
-
-    # Segmented max: ``max`` returns one of its inputs, so any grouping is
-    # exact.  Uniform spans (the common case — cache blocks share one
-    # block size) reshape to a dense axis; ragged histories fall back to
-    # reduceat.
-    uniform = bool((lens == lens[0]).all())
-    if uniform:
-        seg_view = s_row.reshape(hkv, g, 1, nseg, int(lens[0]))
-        smax = seg_view.max(axis=-1)
-    else:
-        smax = np.maximum.reduceat(s_row, starts, axis=-1)
-    m_new = np.maximum.accumulate(smax, axis=-1)
-    m_prev = np.concatenate(
-        [np.full((hkv, g, 1, 1), -np.inf), m_new[..., :-1]], axis=-1
-    )
-    with np.errstate(invalid="ignore"):
-        corr_all = exp(m_prev - m_new)
-    corr_all = np.where(np.isfinite(m_prev), corr_all, 0.0)
-    p = exp(s_row - np.repeat(m_new, lens, axis=-1))
-
-    abs_p = np.abs(p)
-    if uniform:
-        seg_absmax = abs_p.reshape(hkv, g, 1, nseg, int(lens[0])).max(axis=-1)
-    else:
-        seg_absmax = np.maximum.reduceat(abs_p, starts, axis=-1)
-    p_absmax = np.maximum(seg_absmax, 1e-12)
-    p_scale = p_absmax / float(mc)
-    pc = np.clip(np.rint(p / np.repeat(p_scale, lens, axis=-1)), -mc, mc).astype(
-        np.int8
-    )
-    # Segmented PV, one integer GEMM per history: the int32 headroom
-    # check above certifies every product and partial sum is an exactly
-    # representable float64 integer, so BLAS dgemm over the codes *is*
-    # the per-span integer GEMM result (see repro.quant.integer_gemm).
-    pcf = pc.astype(np.float64)[:, :, 0, :]
-    vf = v_all.astype(np.float64)
-    if uniform:
-        length = int(lens[0])
-        pv_seg = (
-            pcf.reshape(hkv, g, nseg, 1, length)
-            @ vf.reshape(hkv, nseg, length, d)[:, None, :, :, :]
-        )[:, :, :, 0, :]
-    else:
-        pv_seg = np.empty((hkv, g, nseg, d), dtype=np.float64)
-        for j in range(nseg):
-            sl = slice(starts[j], starts[j] + lens[j])
-            pv_seg[:, :, j, :] = (pcf[:, :, None, sl] @ vf[:, None, sl, :])[
-                :, :, 0, :
-            ]
-
-    l = np.zeros((hkv, g, 1))
-    acc = np.zeros((hkv, g, 1, d))
-    for j in range(nseg):
-        sl = slice(starts[j], starts[j] + lens[j])
-        corr = corr_all[..., j]
-        l = corr * l + p[..., sl].sum(axis=-1)
-        pv = p_scale[..., j : j + 1] * np.reshape(
-            spans[j][3], (hkv, 1, 1, 1)
-        ) * pv_seg[:, :, j : j + 1, :]
-        acc = corr[..., None] * acc + pv
-    safe_l = np.where(l > 0, l, 1.0)
-    out = acc / safe_l[..., None]
-    lse = np.where(l > 0, m_new[..., -1] + np.log(safe_l), -np.inf)
-    return out, lse
-
-
-def _gather_spans(cache: QuantizedKVCache, buffer: DecodeBuffer) -> List[Span]:
-    spans: List[Span] = [
-        (k_codes, v_codes, k_sc, v_sc)
-        for k_codes, v_codes, k_sc, v_sc, _length in cache.iter_decompressed()
-    ]
+    if decoded is None:
+        decoded = []
+    for block in cache.blocks[len(decoded) :]:
+        decoded.append(
+            (
+                pq_decompress_to_int8(block.k),
+                pq_decompress_to_int8(block.v),
+                block.k.float_scale,
+                block.v.float_scale,
+            )
+        )
+    spans = list(decoded)
     buf_k, buf_v = buffer.codes()
     if buf_k.shape[-2] > 0:
         spans.append((buf_k, buf_v, buffer.k_scale, buffer.v_scale))
     return spans
 
 
-def _flush_full_buffer(
+def _stage_token(
+    k_t: np.ndarray,
+    v_t: np.ndarray,
     cache: QuantizedKVCache,
     buffer: DecodeBuffer,
-    escalator: Optional[PrecisionEscalator],
-    report: Optional[GuardReport],
+    escalator: Optional[PrecisionEscalator] = None,
+    report: Optional[GuardReport] = None,
 ) -> None:
-    """Flush the buffer into a cache block, consulting the escalator.
+    """Stage one token's K/V into the buffer, first flushing a full buffer
+    into a cache block.
 
     With an escalator, the flushed block's saturation stats update the
     per-head bit assignments *before* the block is compressed — the block
@@ -284,67 +348,35 @@ def _flush_full_buffer(
     clamp-hot heads regrow the frozen scale at this (empty-buffer)
     boundary.
     """
-    if escalator is None:
-        cache.append_block(*buffer.drain())
-        return
-    k_codes, v_codes, k_sc, v_sc = buffer.drain()
-    decision = escalator.observe_flush(
-        k_codes, v_codes, k_sc, v_sc, buffer.last_clamp_fraction, report
-    )
-    if decision.changed:
-        cache.set_head_bits(decision.head_bits)
-    cache.append_block(k_codes, v_codes, k_sc, v_sc)
-    if decision.clamp_hot.any():
-        grew = buffer.grow_scale(decision.clamp_hot)
-        if grew and report is not None:
-            report.scale_regrows += grew
-            report.record(f"scale_regrow:{grew} heads")
+    if buffer.is_full:
+        k_codes, v_codes, k_sc, v_sc = buffer.drain()
+        decision = None
+        if escalator is not None:
+            decision = escalator.observe_flush(
+                k_codes, v_codes, k_sc, v_sc, buffer.last_clamp_fraction, report
+            )
+            if decision.changed:
+                cache.set_head_bits(decision.head_bits)
+        cache.append_block(k_codes, v_codes, k_sc, v_sc)
+        if decision is not None and decision.clamp_hot.any():
+            grew = buffer.grow_scale(decision.clamp_hot)
+            if grew and report is not None:
+                report.scale_regrows += grew
+                report.record(f"scale_regrow:{grew} heads")
+    buffer.append(k_t, v_t)
 
 
-def _prepare_step(
-    q_t: np.ndarray,
-    k_t: np.ndarray,
-    v_t: np.ndarray,
-    cache: QuantizedKVCache,
-    buffer: DecodeBuffer,
-    config: TurboConfig,
-    scale: Optional[float],
-    guard: Optional[GuardConfig] = None,
-    report: Optional[GuardReport] = None,
-    escalator: Optional[PrecisionEscalator] = None,
-):
-    q_t = np.asarray(q_t, dtype=np.float64)
-    hq, d = q_t.shape
+def _query_groups(hq: int, cache: QuantizedKVCache) -> Tuple[int, int]:
     hkv = cache.n_heads
     if hq % hkv != 0:
         raise ValueError(f"q_heads {hq} not a multiple of kv_heads {hkv}")
-    g = hq // hkv
-    if scale is None:
-        scale = 1.0 / np.sqrt(d)
-    wants_fallback = False
-    if guard is not None:
-        q_t, fb_q = check_finite_tile(q_t, "decode q_t", guard, report)
-        k_t, fb_k = check_finite_tile(
-            np.asarray(k_t, dtype=np.float64), "decode k_t", guard, report
-        )
-        v_t, fb_v = check_finite_tile(
-            np.asarray(v_t, dtype=np.float64), "decode v_t", guard, report
-        )
-        wants_fallback = fb_q or fb_k or fb_v
-    if buffer.is_full:
-        _flush_full_buffer(cache, buffer, escalator, report)
-    buffer.append(k_t, v_t)
-    qc, q_scale = _quantize_query(q_t, hkv, g, d, config.int8_max_code)
-    return qc, q_scale, scale, hq, hkv, g, d, q_t, wants_fallback
+    return hkv, hq // hkv
 
 
 def _reference_step_from_spans(
     spans: Sequence[Span],
-    q_t: np.ndarray,
+    q: np.ndarray,
     scale: float,
-    hkv: int,
-    g: int,
-    d: int,
 ) -> np.ndarray:
     """FP16-reference decode: dequantize every span and run exact softmax
     attention — the fallback path for a guard-flagged step.
@@ -353,6 +385,7 @@ def _reference_step_from_spans(
     reference-precision view of the history; what this path removes is the
     integer score/output arithmetic and SAS for the poisoned step.
     """
+    hkv = q.shape[0]
     k_f = np.concatenate(
         [c.astype(np.float64) * np.reshape(s, (hkv, 1, 1)) for c, _, s, _ in spans],
         axis=-2,
@@ -361,8 +394,7 @@ def _reference_step_from_spans(
         [c.astype(np.float64) * np.reshape(s, (hkv, 1, 1)) for _, c, _, s in spans],
         axis=-2,
     )
-    qg = q_t.reshape(hkv, g, 1, d)
-    s = (qg @ np.swapaxes(k_f, -1, -2)[:, None, :, :]) * scale
+    s = (q @ np.swapaxes(k_f, -1, -2)[:, None, :, :]) * scale
     m = s.max(axis=-1, keepdims=True)
     p = np.exp(s - m)
     p = p / p.sum(axis=-1, keepdims=True)
@@ -381,7 +413,7 @@ def turbo_decode_step(
     report: Optional[GuardReport] = None,
     escalator: Optional[PrecisionEscalator] = None,
 ) -> np.ndarray:
-    """One decode step.
+    """One decode step: the one-token case of :func:`turbo_decode_steps`.
 
     Parameters
     ----------
@@ -413,22 +445,13 @@ def turbo_decode_step(
     -------
     Attention output for the token, shape ``(q_heads, head_dim)``.
     """
-    if guard is not None and report is None:
-        report = GuardReport()
-    qc, q_scale, scale, hq, hkv, g, d, q_f, wants_fallback = _prepare_step(
-        q_t, k_t, v_t, cache, buffer, config, scale, guard, report, escalator
-    )
-    spans = _gather_spans(cache, buffer)
-    if wants_fallback:
-        report.fallback_steps += 1
-        report.record("fallback_step:decode")
-        out = _reference_step_from_spans(spans, q_f, scale, hkv, g, d)
-        return out.reshape(hq, d)
-    exp = _exp_fn(config)
-    out, _lse = _attend_spans(
-        spans, qc, q_scale, config, exp, scale, hkv, g, d, guard, report
-    )
-    return out.reshape(hq, d)
+    return turbo_decode_steps(
+        np.asarray(q_t, dtype=np.float64)[None],
+        np.asarray(k_t, dtype=np.float64)[None],
+        np.asarray(v_t, dtype=np.float64)[None],
+        cache, buffer, config,
+        scale=scale, guard=guard, report=report, escalator=escalator,
+    )[0]
 
 
 def turbo_decode_steps(
@@ -443,20 +466,22 @@ def turbo_decode_steps(
     report: Optional[GuardReport] = None,
     escalator: Optional[PrecisionEscalator] = None,
 ) -> np.ndarray:
-    """Decode a run of tokens: bit-exact to calling
-    :func:`turbo_decode_step` once per token, amortizing the per-step
-    fixed costs across the run.
+    """Decode a run of tokens, one step per token in order.
 
     ``qs``/``ks``/``vs`` have shapes ``(steps, q_heads, head_dim)`` and
     ``(steps, kv_heads, head_dim)``; the result is ``(steps, q_heads,
-    head_dim)`` with row ``t`` identical to the per-token call (the
-    cache/buffer mutations interleave in the same order).  Two costs
-    collapse: cache blocks are decompressed *once when they first appear*
-    instead of once per step — blocks are immutable after
-    :meth:`~repro.core.kvcache.QuantizedKVCache.append_block`, so the
-    INT8 view never changes — and the SAS callable is resolved once.
-    Guarded runs fall back to the per-token loop: the guard screens every
-    span's scales per step, and that bookkeeping is the semantics.
+    head_dim)``.  Each step screens its inputs under the guard, stages the
+    token (flushing a full buffer through the escalator), then attends
+    over the cache blocks plus the buffer: through the FP16 reference
+    path when the guard flagged the step, otherwise through the INT8
+    inner loop (:func:`_attend_tiles`, or the per-span loop under a guard
+    or an ablation).  Cache blocks are decompressed once, when they first
+    appear — blocks are immutable after
+    :meth:`~repro.core.kvcache.QuantizedKVCache.append_block`, so the INT8
+    view never changes — and the SAS callable is resolved once per run.
+    Row ``t`` equals what :func:`turbo_decode_step` returns for token
+    ``t``, since that is this loop run for one token.  See
+    :func:`turbo_decode_step` for the parameters.
     """
     qs = np.asarray(qs, dtype=np.float64)
     ks = np.asarray(ks, dtype=np.float64)
@@ -466,50 +491,32 @@ def turbo_decode_steps(
         raise ValueError("qs/ks/vs must carry the same number of tokens")
     if steps == 0:
         return np.zeros(qs.shape, dtype=np.float64)
-    if guard is not None:
-        if report is None:
-            report = GuardReport()
-        return np.stack(
-            [
-                turbo_decode_step(
-                    qs[t], ks[t], vs[t], cache, buffer, config,
-                    scale=scale, guard=guard, report=report,
-                    escalator=escalator,
-                )
-                for t in range(steps)
-            ]
-        )
+    _, hq, d = qs.shape
+    hkv, g = _query_groups(hq, cache)
+    if scale is None:
+        scale = 1.0 / np.sqrt(d)
+    if guard is not None and report is None:
+        report = GuardReport()
     exp = _exp_fn(config)
-    cache_spans: List[Span] = [
-        (kc, vc, ksc, vsc) for kc, vc, ksc, vsc, _len in cache.iter_decompressed()
-    ]
-    out = None
+    decoded: List[Span] = []
+    out = np.empty((steps, hq, d), dtype=np.float64)
     for t in range(steps):
-        qc, q_scale, scale_t, hq, hkv, g, d, _qf, _fb = _prepare_step(
-            qs[t], ks[t], vs[t], cache, buffer, config, scale,
-            escalator=escalator,
-        )
-        # A flush inside _prepare_step appended new (immutable) blocks;
-        # decompress only those.
-        while len(cache_spans) < len(cache.blocks):
-            block = cache.blocks[len(cache_spans)]
-            cache_spans.append(
-                (
-                    pq_decompress_to_int8(block.k),
-                    pq_decompress_to_int8(block.v),
-                    block.k.float_scale,
-                    block.v.float_scale,
-                )
-            )
-        spans = list(cache_spans)
-        buf_k, buf_v = buffer.codes()
-        if buf_k.shape[-2] > 0:
-            spans.append((buf_k, buf_v, buffer.k_scale, buffer.v_scale))
-        step_out, _lse = _attend_spans(
-            spans, qc, q_scale, config, exp, scale_t, hkv, g, d
-        )
-        if out is None:
-            out = np.empty((steps, hq, d), dtype=np.float64)
+        q_t, k_t, v_t = qs[t], ks[t], vs[t]
+        fallback = False
+        if guard is not None:
+            q_t, fb_q = check_finite_tile(q_t, "decode q_t", guard, report)
+            k_t, fb_k = check_finite_tile(k_t, "decode k_t", guard, report)
+            v_t, fb_v = check_finite_tile(v_t, "decode v_t", guard, report)
+            fallback = fb_q or fb_k or fb_v
+        _stage_token(k_t, v_t, cache, buffer, escalator, report)
+        spans = _gather_spans(cache, buffer, decoded)
+        q = q_t.reshape(hkv, g, 1, d)
+        if fallback:
+            report.fallback_steps += 1
+            report.record("fallback_step:decode")
+            step_out = _reference_step_from_spans(spans, q, scale)
+        else:
+            step_out, _lse = _attend_spans(spans, q, config, exp, scale, guard, report)
         out[t] = step_out.reshape(hq, d)
     return out
 
@@ -533,20 +540,22 @@ def turbo_decode_step_split_k(
     """
     if n_splits < 1:
         raise ValueError("n_splits must be >= 1")
-    qc, q_scale, scale, hq, hkv, g, d, _q_f, _fb = _prepare_step(
-        q_t, k_t, v_t, cache, buffer, config, scale
-    )
+    q_t = np.asarray(q_t, dtype=np.float64)
+    hq, d = q_t.shape
+    hkv, g = _query_groups(hq, cache)
+    if scale is None:
+        scale = 1.0 / np.sqrt(d)
+    _stage_token(k_t, v_t, cache, buffer)
     exp = _exp_fn(config)
     spans = _gather_spans(cache, buffer)
+    q = q_t.reshape(hkv, g, 1, d)
     n_splits = min(n_splits, len(spans))
     bounds = np.linspace(0, len(spans), n_splits + 1, dtype=int)
     outs, lses = [], []
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         if hi == lo:
             continue
-        out, lse = _attend_spans(
-            spans[lo:hi], qc, q_scale, config, exp, scale, hkv, g, d
-        )
+        out, lse = _attend_spans(spans[lo:hi], q, config, exp, scale)
         outs.append(out)
         lses.append(lse)
     merged, _ = merge_partials(outs, lses)
