@@ -39,6 +39,7 @@ from repro.attention.split_k import merge_partials
 from repro.core.buffer import DecodeBuffer
 from repro.core.config import TurboConfig
 from repro.core.kvcache import QuantizedKVCache
+from repro.fp.formats import fp16_matmul
 from repro.guard.escalation import PrecisionEscalator
 from repro.guard.numerics import check_finite_tile, check_scale, guarded_int_matmul
 from repro.guard.report import GuardConfig, GuardReport
@@ -227,6 +228,11 @@ def _attend_tiles(
     return out, lse
 
 
+def _dequantize(codes: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """Float view ``codes * scale`` of a span's INT8 codes."""
+    return codes.astype(np.float64) * np.reshape(scale, (codes.shape[0], 1, 1))
+
+
 def _attend_spans(
     spans: Sequence[Span],
     q: np.ndarray,
@@ -243,8 +249,10 @@ def _attend_spans(
     logsumexp ``(hkv, g, 1)`` — the mergeable split-K contract.
 
     The unguarded integer path runs :func:`_attend_tiles`; the span loop
-    below is the guard/ablation path (the guard screens each span's
-    scales in order) and the fallback when the int32 bound fails.
+    below is the guard path (the guard screens each span's scales in
+    order), the fallback when the int32 bound fails, and the
+    ``quantize_matmuls=False`` ablation, whose MatMuls run in FP16 over
+    the dequantized spans as prefill's do over its float tiles.
     """
     mc = config.int8_max_code
     if guard is None and config.quantize_matmuls:
@@ -252,7 +260,8 @@ def _attend_spans(
         if flat is not None:
             return flat
     hkv, g, _, d = q.shape
-    qc, q_scale = quantize_tile(q, mc)
+    if config.quantize_matmuls:
+        qc, q_scale = quantize_tile(q, mc)
 
     def _imatmul(a, b, where):
         if guard is not None:
@@ -268,13 +277,17 @@ def _attend_spans(
             # codes themselves are integers and cannot be non-finite.
             k_scale = check_scale(k_scale, f"decode span {i} k scale", guard, report)
             v_scale = check_scale(v_scale, f"decode span {i} v scale", guard, report)
-        s_tile = (
-            q_scale
-            * np.reshape(k_scale, (hkv, 1, 1, 1))
-            * _imatmul(
-                qc, np.swapaxes(k_codes, -1, -2)[:, None, :, :], f"decode qk span {i}"
-            )
-        ) * scale
+        if config.quantize_matmuls:
+            s_tile = (
+                q_scale
+                * np.reshape(k_scale, (hkv, 1, 1, 1))
+                * _imatmul(
+                    qc, np.swapaxes(k_codes, -1, -2)[:, None, :, :], f"decode qk span {i}"
+                )
+            ) * scale
+        else:
+            k_f = _dequantize(k_codes, k_scale)
+            s_tile = fp16_matmul(q, np.swapaxes(k_f, -1, -2)[:, None, :, :]) * scale
         m_new = np.maximum(m, s_tile.max(axis=-1))
         with np.errstate(invalid="ignore"):
             corr = exp(m - m_new)
@@ -289,9 +302,7 @@ def _attend_spans(
                 * _imatmul(pc, v_codes[:, None, :, :], f"decode pv span {i}")
             )
         else:
-            pv = p @ (
-                v_codes.astype(np.float64) * np.reshape(v_scale, (hkv, 1, 1))
-            )[:, None, :, :]
+            pv = fp16_matmul(p, _dequantize(v_codes, v_scale)[:, None, :, :])
         acc = corr[..., None] * acc + pv
         m = m_new
     safe_l = np.where(l > 0, l, 1.0)
@@ -385,15 +396,8 @@ def _reference_step_from_spans(
     reference-precision view of the history; what this path removes is the
     integer score/output arithmetic and SAS for the poisoned step.
     """
-    hkv = q.shape[0]
-    k_f = np.concatenate(
-        [c.astype(np.float64) * np.reshape(s, (hkv, 1, 1)) for c, _, s, _ in spans],
-        axis=-2,
-    )
-    v_f = np.concatenate(
-        [c.astype(np.float64) * np.reshape(s, (hkv, 1, 1)) for _, c, _, s in spans],
-        axis=-2,
-    )
+    k_f = np.concatenate([_dequantize(c, s) for c, _, s, _ in spans], axis=-2)
+    v_f = np.concatenate([_dequantize(c, s) for _, c, _, s in spans], axis=-2)
     s = (q @ np.swapaxes(k_f, -1, -2)[:, None, :, :]) * scale
     m = s.max(axis=-1, keepdims=True)
     p = np.exp(s - m)

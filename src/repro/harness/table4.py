@@ -4,7 +4,7 @@ Four configurations on the AQuA-matched task with the LLaMA3-like model:
 
 * FP16 — exact baseline.
 * FlashQ-4bit — quantized cache + integer MatMuls, exact FP32 softmax.
-* SAS — exact FP16 cache/MatMuls, approximate softmax.
+* SAS — FP16 MatMuls over the 8-bit progressive cache, approximate softmax.
 * FlashQ-4bit + SAS — full TurboAttention.
 
 The paper finds both components individually near-lossless with the
@@ -28,10 +28,12 @@ __all__ = ["Table4Row", "run", "main"]
 
 
 class _SASOnlyAttention(FP16Attention):
-    """Exact FP16 cache and MatMuls, SAS in place of the softmax exp.
+    """FP16 MatMuls, SAS in place of the softmax exp.
 
     Implemented by monkey-free subclassing: we reuse the quantized kernel
-    with ``quantize_matmuls=False`` so only the exponential changes.
+    with ``quantize_matmuls=False``, so both MatMuls of prefill and
+    decode run in FP16.  The kernel still stores K/V in its progressive
+    cache, here at 8 bits, and decode reads them back dequantized.
     """
 
     name = "sas_only"

@@ -5,6 +5,8 @@ import pytest
 
 from repro.attention.reference import reference_attention
 from repro.core import TurboAttention, TurboConfig
+from repro.core import decode as core_decode
+from repro.core import prefill as core_prefill
 
 
 @pytest.fixture
@@ -115,6 +117,35 @@ class TestDecodeAccuracy:
         expected = reference_attention(q1[:, None, :], k_full, v_full)[:, 0, :]
         rel = np.linalg.norm(out - expected) / np.linalg.norm(expected)
         assert rel < 0.20
+
+    def test_exact_mode_runs_no_integer_matmul(self, rng, monkeypatch):
+        """With SAS and both INT8 MatMuls off, decode is FP16 attention
+        over the dequantized cache, as prefill is over its float tiles:
+        no integer GEMM runs in either kernel."""
+        calls = []
+        for module in (core_prefill, core_decode):
+            original = module.int_matmul
+            monkeypatch.setattr(
+                module, "int_matmul", lambda a, b, f=original: calls.append(1) or f(a, b)
+            )
+        h, n, d = 4, 96, 32
+        q, k, v = (rng.standard_normal((h, n, d)) for _ in range(3))
+        cfg = TurboConfig(
+            block_q=32, block_k=32, buffer_size=32, kv_bits=8,
+            use_sas=False, quantize_matmuls=False,
+        )
+        turbo = TurboAttention(cfg)
+        _, state = turbo.prefill(q, k, v, causal=True)
+        for _ in range(40):  # through a buffer flush
+            q1, k1, v1 = (rng.standard_normal((h, d)) for _ in range(3))
+            out = turbo.decode_step(q1, k1, v1, state)
+            spans = core_decode._gather_spans(state.cache, state.buffer)
+            expected = core_decode._reference_step_from_spans(
+                spans, q1.reshape(h, 1, 1, d), 1.0 / np.sqrt(d)
+            ).reshape(h, d)
+            rel = np.linalg.norm(out - expected) / np.linalg.norm(expected)
+            assert rel < 5e-3
+        assert calls == []
 
 
 class TestStateAccounting:
