@@ -88,6 +88,27 @@ class TestGate:
         table = speed.format_table(rows, 1.0)
         assert "FAIL" in table and "OK" in table
 
+    def test_slow_first_probe_does_not_inflate_later_scenarios(self, monkeypatch):
+        # A cold or contended first probe at 4x the baseline's once scaled
+        # every expectation by 4x; each scenario now takes the faster of
+        # the probes around it, so a prefill 4x slower than baseline fails.
+        probes = iter([0.20] + [0.05] * 5)
+        monkeypatch.setattr(speed, "calibrate", lambda: next(probes))
+        fake = {
+            "prefill": {"prefill_s": 0.40},
+            "decode": {"decode_s": 0.20},
+            "engine": {"engine_rps": 1000.0},
+            "cluster": {"cluster_rps": 500.0},
+            "recover": {"recover_wall_s": 1.0},
+        }
+        for name, metrics in fake.items():
+            monkeypatch.setattr(speed, f"bench_{name}", lambda quick, m=metrics: dict(m))
+        current = speed.run_speed_suite(quick=True)
+        assert current["prefill_probe_s"] == 0.05
+        assert current["calibration_s"] == 0.05
+        _rows, failures = speed.compare_to_baseline(current, self.BASELINE)
+        assert failures == ["prefill_s"]
+
     def test_committed_baseline_carries_the_gated_metrics(self):
         path = Path(__file__).resolve().parent.parent / "BENCH_speed_baseline.json"
         baseline = json.loads(path.read_text())
