@@ -5,10 +5,14 @@ replica's state is quiescent — and captures everything a warm restart
 needs: the live request records (progress copied by value, since live
 records keep mutating), the prefix pool's refcount summary, and the
 brownout level.  The resident cache itself is not serialized: each epoch
-carries a fixed-geometry miniature KV payload keyed by ``(seed, replica,
-epoch)`` (:func:`snapshot_payload`), built through the real
+stands for a fixed-geometry miniature KV payload keyed by ``(seed,
+replica, epoch)`` (:func:`snapshot_payload`), built through the real
 :mod:`repro.core.serialization` schema (packed codes + CRC32 checksums)
-so at-rest corruption and salvage run the production code.  The
+so at-rest corruption and salvage run the production code.  The payload
+is a pure function of its key, so a snapshot records the key (and the
+width and geometry the build reads) and the payload is built only when a
+restart reads a corrupt epoch (:func:`verify_snapshot`) — the way a
+handoff builds its payload only for a corrupted transfer.  The
 snapshot's byte cost is priced separately, as the *real* cost of
 persisting each captured request's context at its admitted KV width
 (:func:`repro.migrate.kv_wire_bytes`) — which is the whole point: a
@@ -43,7 +47,6 @@ import numpy as np
 from repro.core.serialization import (
     CacheCorruptionError,
     salvage_state,
-    state_digest,
     state_from_arrays,
 )
 from repro.guard.chaos import CORRUPTION_KINDS, ChaosInjector
@@ -105,9 +108,10 @@ class EngineSnapshot:
     #: Brownout level name at snapshot time (None without a controller).
     brownout_level: Optional[str] = None
     #: blake2b identity over the canonical snapshot content, including
-    #: the serialized KV payload's :func:`repro.core.serialization.
-    #: state_digest` — two runs snapshotting the same state digest equal.
-    #: It labels the ``snapshot_taken`` trace mark; no restore checks it.
+    #: the KV payload's key, code width and geometry (the payload is a
+    #: pure function of them) — two runs snapshotting the same state
+    #: digest equal.  It labels the ``snapshot_taken`` trace mark; no
+    #: restore checks it.
     digest: str = ""
 
 
@@ -131,6 +135,17 @@ class ReplicaRecoveryState:
         )
 
 
+def _payload_key(
+    replica_id: int, epoch: int, config: RecoverConfig
+) -> Tuple[List[int], int]:
+    """The stream key and code width one epoch's payload is built from.
+
+    :func:`snapshot_payload` builds from them and :func:`take_snapshot`
+    labels with them, so the label cannot drift from the bytes.
+    """
+    return [config.seed, _PAYLOAD_SALT, replica_id, epoch], 4
+
+
 def snapshot_payload(
     replica_id: int, epoch: int, config: RecoverConfig
 ) -> Dict[str, np.ndarray]:
@@ -140,9 +155,8 @@ def snapshot_payload(
     independent of the migration payload streams (different salt) and of
     every other replica/epoch — and packed at 4 bits per code.
     """
-    return miniature_payload(
-        [config.seed, _PAYLOAD_SALT, replica_id, epoch], 4, config
-    )
+    key, bits = _payload_key(replica_id, epoch, config)
+    return miniature_payload(key, bits, config)
 
 
 def corrupt_snapshot_payload(
@@ -214,12 +228,18 @@ def take_snapshot(
     pool = engine.prefix_pool
     refcounts = pool.refcount_snapshot() if pool is not None else {}
     level = engine.brownout_level
-    kv_digest = state_digest(snapshot_payload(replica_id, epoch, config))
+    key, bits = _payload_key(replica_id, epoch, config)
     header = {
         "replica": replica_id,
         "epoch": epoch,
         "t": float(now),
-        "kv": kv_digest,
+        "kv": key + [
+            bits,
+            config.payload_blocks,
+            config.payload_block_tokens,
+            config.payload_heads,
+            config.payload_head_dim,
+        ],
         "prefix": refcounts,
         "brownout": level.name if level is not None else None,
     }
