@@ -153,10 +153,10 @@ CASES = {
 #: ``(trace digest, metrics digest)`` per case.
 DIGESTS = {
     "disagg_pool_autoscale": ("4c3e155ab0d455940725ce80d7f52e21", "4ecdac8da13d8d4c817216a76b3bdc6a"),
-    "disagg_recover_ops": ("ed1883ec6b6e2eabbc904d3501281ac1", "7f0bb3e053686f2da404acc64f703f84"),
+    "disagg_recover_ops": ("14ce061294f1505a7d69186c4ac0b8be", "7f0bb3e053686f2da404acc64f703f84"),
     "unified_autoscale_breaker": ("fabe49edab53594d510bb4e023b4cec1", "1e3af8db3267321897c9b8d6f703277f"),
     "unified_prefix_affinity": ("02a233bceb3ac43339e81e38aa256476", "998883ac615626368da0e7fa59713fb7"),
-    "unified_recover_ops": ("e0e0a8b8162d5b1ed946c82f0495cf71", "d025388a980880ccb18112904f65a6ca"),
+    "unified_recover_ops": ("db82eeb3793e3a40fb8d60500f783f9a", "d025388a980880ccb18112904f65a6ca"),
 }
 
 #: Trace kinds each case must contain, so no pin is vacuous.
