@@ -65,14 +65,6 @@ __all__ = [
 #: the ``meta.seq_len`` recovery hint.
 SCHEMA_VERSION = 2
 
-#: ``str(dtype)`` of every dtype the schema writes.  :func:`state_digest`
-#: hashes the dtype name of each of a payload's hundreds of arrays, and
-#: under NumPy 2 ``str(dtype)`` costs more than hashing the array itself.
-_DTYPE_NAMES = {
-    np.dtype(t): str(np.dtype(t)).encode()
-    for t in (np.int8, np.int16, np.int64, np.uint8, np.uint32, np.float64)
-}
-
 
 def _pack_block(prefix: str, block: ProgressiveBlock, out: Dict[str, np.ndarray]) -> None:
     bits_arr = np.asarray(block.bits, dtype=np.int8)
@@ -519,20 +511,20 @@ def state_digest(arrays: Dict[str, np.ndarray]) -> str:
     bytes digest equal and any change to an array's dtype, shape or bytes
     changes the digest.  One collision is known: ``np.ascontiguousarray``
     promotes a 0-d array to shape ``(1,)``, so a scalar and a one-element
-    1-D array of the same dtype and value digest equal.  Changing that
-    would move every snapshot digest, so it is documented, not fixed.
+    1-D array of the same dtype and value digest equal.  Fixing that
+    would move the literal payload digests the tests pin, so it is
+    documented, not fixed.
 
-    No load path checks this digest.  :mod:`repro.recover` folds it into
-    :attr:`~repro.recover.EngineSnapshot.digest`, which labels the
-    ``snapshot_taken`` trace marks and pins determinism; the per-array
-    CRCs are what detect corruption.
+    No load path checks this digest, and no snapshot or trace label uses
+    it (:attr:`~repro.recover.EngineSnapshot.digest` hashes the payload's
+    key instead).  It pins payload bytes in tests; the per-array CRCs are
+    what detect corruption.
     """
     h = hashlib.blake2b(digest_size=16)
     for key in sorted(arrays):
         arr = np.ascontiguousarray(np.asarray(arrays[key]))
-        name = _DTYPE_NAMES.get(arr.dtype)
         h.update(key.encode())
-        h.update(name if name is not None else str(arr.dtype).encode())
+        h.update(str(arr.dtype).encode())
         h.update(np.asarray(arr.shape, dtype=np.int64).tobytes())
         h.update(arr.tobytes())
     return h.hexdigest()
