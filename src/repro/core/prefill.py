@@ -9,7 +9,9 @@ The flash-attention tiling loop with three changes:
 3. After a key/value tile is consumed it is progressively compressed
    (INT8 -> INT4/2, channel-wise, integer scales) and written to the
    quantized KV cache; the ragged tail that doesn't fill a block goes to
-   the decode buffer instead, already in INT8 under the universal scale.
+   the decode buffer instead, already in INT8 under the universal scale
+   (a tail longer than the buffer flushes into a shorter cache block
+   whenever the buffer fills, exactly as decode does).
 
 Grouped-query attention is supported: ``q`` may carry ``G`` query heads per
 KV head; the kernel broadcasts K/V across the group while the cache stores
@@ -53,9 +55,11 @@ class PrefillResult:
     lse:
         Row-wise log-sum-exp, shape ``(q_heads, n)``.
     cache:
-        The progressive KV cache holding all full blocks.
+        The progressive KV cache holding all full blocks (plus any
+        buffer flushes of a tail longer than the buffer).
     buffer:
-        Decode buffer holding the ragged tail tokens (may be empty).
+        Decode buffer holding the unflushed ragged tail tokens (may be
+        empty).
     head_bits:
         Per-KV-head storage bit-widths used.
     report:
@@ -192,7 +196,14 @@ def turbo_prefill(
             np.stack([t[1].reshape(hkv, 1, 1) for t in v_tiles[:n_full]]),
         )
     if n_full * bk < nk:
-        buffer.extend(f_tiles[-1][0], f_tiles[-1][1])
+        # A tail longer than the buffer is staged the way decode stages
+        # tokens: a full buffer flushes into a cache block first.
+        tail_k, tail_v = f_tiles[-1]
+        nb = config.buffer_size
+        for ts in range(0, tail_k.shape[-2], nb):
+            if buffer.is_full:
+                cache.append_block(*buffer.drain())
+            buffer.extend(tail_k[:, ts : ts + nb, :], tail_v[:, ts : ts + nb, :])
 
     def _imatmul(a, b, where):
         if guard is not None:

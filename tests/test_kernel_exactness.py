@@ -81,8 +81,11 @@ def test_prefill_matches_loop_oracle(hq, hkv, kv_bits):
         ({}, 400, None),
         ({}, 90, None),
         ({"block_q": 48, "block_k": 56, "buffer_size": 56}, 250, 0),
+        # The 26-token tail flushes through an 8-token buffer.
+        ({"block_q": 32, "block_k": 32, "buffer_size": 8}, 250, None),
     ],
-    ids=["nosas", "ragged", "more_keys", "fewer_keys", "int32_bailout"],
+    ids=["nosas", "ragged", "more_keys", "fewer_keys", "int32_bailout",
+         "tail_over_buffer"],
 )
 def test_prefill_matches_loop_oracle_variants(kwargs, n_keys, int32_max, monkeypatch):
     # ``int32_max`` patches the shared core's headroom bound so that it
@@ -140,6 +143,9 @@ def test_prefill_guard_on_equals_off_on_clean_inputs():
         # Flushed blocks are shorter than prefill's: two span lengths.
         pytest.param(4, 2, 80, {"buffer_size": 24}, None, id="4-2-short-buffer"),
         pytest.param(4, 2, 30, {"buffer_size": 24}, 0, id="4-2-int32-bailout"),
+        # Prefill's 16-token tail outgrows the 12-token buffer and flushes.
+        pytest.param(4, 2, 40, {"block_q": 48, "block_k": 48, "buffer_size": 12},
+                     None, id="4-2-tail-over-buffer"),
     ],
 )
 @pytest.mark.parametrize("kv_bits", [2, 4, 8])
