@@ -273,6 +273,76 @@ class TestTakeAndVerifySnapshot:
         assert a.digest == b.digest
         c = take_snapshot(0, engine, 1, engine.clock, cfg, model, 4.3)
         assert a.digest != c.digest  # epoch is part of the identity
+        d = take_snapshot(1, engine, 0, engine.clock, cfg, model, 4.3)
+        assert a.digest != d.digest  # so is the replica
+        # The payload key and geometry label the snapshot in place of
+        # the payload's bytes: every input of the build moves the digest.
+        for change in (
+            {"seed": 1},
+            {"payload_blocks": 9},
+            {"payload_block_tokens": 17},
+            {"payload_heads": 3},
+            {"payload_head_dim": 9},
+        ):
+            other = RecoverConfig(**change)
+            e = take_snapshot(0, engine, 0, engine.clock, other, model, 4.3)
+            assert a.digest != e.digest, change
+
+    def test_payload_is_built_only_for_a_corrupt_epoch(self, model, monkeypatch):
+        engine = self._engine(model)
+        calls = []
+
+        def refuse(key, bits, geometry):
+            calls.append(list(key))
+            raise AssertionError("payload built")
+
+        monkeypatch.setattr("repro.recover.snapshot.miniature_payload", refuse)
+        cfg = RecoverConfig(seed=11)
+        intact = take_snapshot(0, engine, 0, engine.clock, cfg, model, 4.3)
+        assert verify_snapshot(intact, cfg) == (cfg.payload_tokens,
+                                                cfg.payload_tokens)
+        assert calls == []
+        corrupt_cfg = RecoverConfig(seed=11, corrupt_rate=1.0)
+        corrupt = take_snapshot(0, engine, 3, engine.clock, corrupt_cfg,
+                                model, 4.3)
+        assert corrupt.corrupt and calls == []
+        with pytest.raises(AssertionError, match="payload built"):
+            verify_snapshot(corrupt, corrupt_cfg)
+        assert calls == [[11, _PAYLOAD_SALT, 0, 3]]
+
+    #: ``kept`` tokens per epoch 0-7 that ``verify_snapshot`` returns at
+    #: ``corrupt_rate=1``, recorded while every snapshot still built its
+    #: payload; the salvage ladder must not move.
+    LADDER = {
+        "default": {
+            (0, 0): [96, 16, 32, 96, 48, 80, 32, 80],
+            (0, 1): [48, 64, 80, 96, 48, 80, 112, 0],
+            (11, 0): [48, 32, 16, 0, 96, 16, 96, 0],
+            (11, 1): [80, 128, 48, 96, 32, 80, 112, 112],
+        },
+        "odd": {
+            (0, 0): [10, 0, 5, 10, 5, 10, 5, 10],
+            (0, 1): [5, 5, 10, 10, 5, 10, 15, 0],
+            (11, 0): [5, 5, 0, 0, 10, 0, 10, 0],
+            (11, 1): [10, 15, 5, 10, 5, 10, 15, 10],
+        },
+    }
+
+    @pytest.mark.parametrize(
+        "name,geometry", [("default", {}), ("odd", ODD_PAYLOAD_GEOMETRY)],
+        ids=["default", "odd"],
+    )
+    def test_verify_ladder_literals(self, model, name, geometry):
+        engine = self._engine(model)
+        for (seed, replica), kept in self.LADDER[name].items():
+            cfg = RecoverConfig(seed=seed, corrupt_rate=1.0, **geometry)
+            got = []
+            for epoch in range(8):
+                snap = take_snapshot(replica, engine, epoch, engine.clock,
+                                     cfg, model, 4.3)
+                assert snap.corrupt
+                got.append(verify_snapshot(snap, cfg))
+            assert got == [(k, cfg.payload_tokens) for k in kept], (seed, replica)
 
     def test_verify_ladder_values(self, model):
         engine = self._engine(model)
