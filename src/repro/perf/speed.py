@@ -13,8 +13,10 @@ layers the hot loops live in:
   dominates;
 * ``recover`` — a two-replica fleet with crashes and frequent
   :class:`~repro.recover.RecoverConfig` snapshots, where the checkpoint
-  path (serialized KV payload, checksums, digest) and warm restarts run.
-  It is reported but not gated: it has no committed baseline yet.
+  path and warm restarts run.  Snapshots record their KV payload's key,
+  so the serialized payload (checksums, corruption, salvage) is built
+  only when a restart reads a corrupt epoch.  It is reported but not
+  gated: it has no committed baseline yet.
 
 Wall-clock numbers are machine-dependent, so the regression gate never
 compares raw seconds across machines: every run also times a fixed

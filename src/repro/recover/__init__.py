@@ -4,9 +4,9 @@ The fault layer (:mod:`repro.cluster.faults`) recovers a crash by cold
 retry: every evicted request re-prefills from token zero on another
 replica.  This package makes recovery *warm*: replicas periodically
 snapshot their engine state (:mod:`repro.recover.snapshot`) — request
-records, a checksummed serialized KV payload, prefix-pool refcounts,
-brownout level — and log post-snapshot admissions to a write-ahead log
-(:mod:`repro.recover.wal`).  A crashed replica then restarts by loading
+records, the key of a checksummed serialized KV payload, prefix-pool
+refcounts, brownout level — and log post-snapshot admissions to a
+write-ahead log (:mod:`repro.recover.wal`).  A crashed replica then restarts by loading
 the newest usable epoch (salvaging corrupt ones, degrading down the
 ladder to cold start — never losing a request), replaying the WAL tail,
 and resuming every checkpointed request at its exact ``[valid,

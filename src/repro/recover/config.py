@@ -13,12 +13,12 @@ class RecoverConfig:
 
     Snapshots are taken per replica at kernel-event boundaries (the only
     instants fleet state is quiescent, which is what makes them crash-
-    consistent and digest-stable); each one serializes the replica's
-    live request records plus a miniature-but-faithful quantized KV
-    state through :mod:`repro.core.serialization` — real packed codes,
-    real CRC32 checksums — so corruption and salvage on restart exercise
-    the production code path, exactly like :mod:`repro.migrate` does for
-    handoffs.
+    consistent and digest-stable); each one records the replica's live
+    request records plus the key of a miniature-but-faithful quantized
+    KV state.  A restart that reads a corrupt epoch builds that state
+    through :mod:`repro.core.serialization` — real packed codes, real
+    CRC32 checksums — so corruption and salvage exercise the production
+    code path, exactly like :mod:`repro.migrate` does for handoffs.
     """
 
     #: Wall-clock (simulated) seconds between per-replica snapshots.
