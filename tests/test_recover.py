@@ -294,7 +294,7 @@ class TestTakeAndVerifySnapshot:
 
         def refuse(key, bits, geometry):
             calls.append(list(key))
-            raise AssertionError("payload built")
+            raise RuntimeError("payload built")
 
         monkeypatch.setattr("repro.recover.snapshot.miniature_payload", refuse)
         cfg = RecoverConfig(seed=11)
@@ -306,7 +306,7 @@ class TestTakeAndVerifySnapshot:
         corrupt = take_snapshot(0, engine, 3, engine.clock, corrupt_cfg,
                                 model, 4.3)
         assert corrupt.corrupt and calls == []
-        with pytest.raises(AssertionError, match="payload built"):
+        with pytest.raises(RuntimeError, match="payload built"):
             verify_snapshot(corrupt, corrupt_cfg)
         assert calls == [[11, _PAYLOAD_SALT, 0, 3]]
 
