@@ -311,8 +311,7 @@ class TestTakeAndVerifySnapshot:
         assert calls == [[11, _PAYLOAD_SALT, 0, 3]]
 
     #: ``kept`` tokens per epoch 0-7 that ``verify_snapshot`` returns at
-    #: ``corrupt_rate=1``, recorded while every snapshot still built its
-    #: payload; the salvage ladder must not move.
+    #: ``corrupt_rate=1``: literals, so the salvage ladder cannot move.
     LADDER = {
         "default": {
             (0, 0): [96, 16, 32, 96, 48, 80, 32, 80],
