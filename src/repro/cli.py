@@ -15,6 +15,7 @@
     python -m repro speed   --check --quick
     python -m repro profile cluster
     python -m repro profile recover
+    python -m repro profile prefix
 
 Everything the CLI prints is produced by the same library calls the tests
 and benchmarks exercise; the CLI adds no logic of its own.
@@ -325,6 +326,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         "engine": speed.bench_engine,
         "cluster": speed.bench_cluster,
         "recover": lambda: speed.bench_recover(repeats=1),
+        "prefix": lambda: speed.bench_prefix(repeats=1),
     }
     profiler = cProfile.Profile()
     profiler.enable()
@@ -525,7 +527,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="cProfile one pinned speed scenario, top cumulative functions",
     )
     p_pr.add_argument(
-        "scenario", choices=["prefill", "decode", "engine", "cluster", "recover"]
+        "scenario",
+        choices=["prefill", "decode", "engine", "cluster", "recover", "prefix"],
     )
     p_pr.add_argument("--top", type=int, default=20, help="rows to print")
     p_pr.set_defaults(fn=_cmd_profile)

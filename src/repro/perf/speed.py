@@ -1,7 +1,7 @@
 """Pinned wall-clock speed trajectory for the kernels and simulators.
 
 Accuracy experiments pin their *numbers* with golden files; this module
-pins the *speed* the repo produces them at.  Five scenarios cover the
+pins the *speed* the repo produces them at.  Six scenarios cover the
 layers the hot loops live in:
 
 * ``prefill`` / ``decode`` — the attention kernels themselves (one long
@@ -15,8 +15,13 @@ layers the hot loops live in:
   :class:`~repro.recover.RecoverConfig` snapshots, where the checkpoint
   path and warm restarts run.  Snapshots record their KV payload's key,
   so the serialized payload (checksums, corruption, salvage) is built
-  only when a restart reads a corrupt epoch.  It is reported but not
-  gated: it has no committed baseline yet.
+  only when a restart reads a corrupt epoch;
+* ``prefix`` — three prefix-pooled replicas behind the ``affinity``
+  router on Zipf-shared tenant prompts: pool reads, inserts,
+  copy-on-write and the batched decode commit of pooled engines.
+
+``recover`` and ``prefix`` are reported but not gated: they have no
+:data:`PRE_PR` denominator and no committed baseline yet.
 
 Wall-clock numbers are machine-dependent, so the regression gate never
 compares raw seconds across machines: every run also times a fixed
@@ -50,8 +55,14 @@ from repro.core.decode import turbo_decode_steps
 from repro.core.prefill import turbo_prefill
 from repro.perf.attention_costs import METHODS
 from repro.perf.e2e import ModelGeometry
+from repro.prefix import PrefixCacheConfig
 from repro.recover import RecoverConfig
-from repro.serving import EngineConfig, ServingEngine, poisson_workload
+from repro.serving import (
+    EngineConfig,
+    ServingEngine,
+    poisson_workload,
+    zipf_shared_workload,
+)
 
 __all__ = [
     "GATED_METRICS",
@@ -60,6 +71,7 @@ __all__ = [
     "bench_decode",
     "bench_engine",
     "bench_prefill",
+    "bench_prefix",
     "bench_recover",
     "calibrate",
     "compare_to_baseline",
@@ -227,6 +239,26 @@ def bench_recover(quick: bool = False, repeats: int = 3) -> Dict[str, float]:
     return {"recover_wall_s": best, "recover_snapshots": metrics.snapshots_taken}
 
 
+def bench_prefix(quick: bool = False, repeats: int = 3) -> Dict[str, float]:
+    """Three prefix-pooled replicas on Zipf-shared tenant prompts."""
+    n_req = 300 if quick else 1000
+    requests = zipf_shared_workload(
+        n_req, 40.0, n_tenants=200, zipf_s=1.6, rng=np.random.default_rng(3)
+    )
+    config = ClusterConfig(
+        n_replicas=3, policy="affinity", engine=EngineConfig(prefix=PrefixCacheConfig())
+    )
+    best = float("inf")
+    for _ in range(max(1, repeats)):
+        sim = ClusterSimulator(MODEL, METHODS["turbo4"], config)
+        t0 = time.perf_counter()
+        metrics = sim.run(requests)
+        best = min(best, time.perf_counter() - t0)
+        total = metrics.completed + metrics.failed + metrics.rejected + metrics.shed
+        assert total == n_req
+    return {"prefix_wall_s": best, "prefix_rps": n_req / best}
+
+
 def run_speed_suite(quick: bool = False) -> Dict[str, float]:
     """Run every scenario; returns one flat metric dict plus the probes.
 
@@ -240,6 +272,7 @@ def run_speed_suite(quick: bool = False) -> Dict[str, float]:
         ("engine", bench_engine),
         ("cluster", bench_cluster),
         ("recover", bench_recover),
+        ("prefix", bench_prefix),
     )
     out: Dict[str, float] = {"quick": bool(quick)}
     probes = [calibrate()]

@@ -431,7 +431,9 @@ class PrefixPool:
         * refcounts are consistent with the per-request held lists
           (never negative — structurally a dict, so the check is that
           both sides agree);
-        * no request references an evicted block.
+        * no request references an evicted block;
+        * every shared-tail key is its request's last held block, still
+          resident (copy-on-write drops both together).
         """
         problems: List[str] = []
         if self.allocator.shared_blocks != self.resident_blocks:
@@ -454,4 +456,8 @@ class PrefixPool:
         for rid, keys in holders_view.items():
             if set(keys) - set(self._held.get(rid, [])):
                 problems.append(f"stray holder entry for request {rid}")
+        for rid, key in self._tail_key.items():
+            held = self._held.get(rid)
+            if key not in self._blocks or not held or held[-1] != key:
+                problems.append(f"request {rid} has stale tail key {key}")
         return problems

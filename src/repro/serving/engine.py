@@ -12,7 +12,8 @@ One engine iteration mirrors a vLLM-style step:
    decode latency is evaluated at the running batch size and the batch's
    mean context.
 4. **Growth/preemption** — each generated token may require a new cache
-   block; on OOM the most-recently-admitted request is preempted
+   block; on OOM the most-recently-admitted request is preempted — the
+   growing request itself when nothing was admitted after it
    (vLLM-style recompute: blocks freed, request requeued *at the front*
    of the waiting queue).
 
@@ -284,6 +285,16 @@ class ServingEngine:
             if need > self.allocator.free_blocks:
                 self.prefix_pool.evict_to_free(need)
         return self.allocator.grow(rid, tokens, bytes_scale)
+
+    def _cow_tail(self, rid: int) -> None:
+        """Copy-on-write of a request's shared tail block on its first
+        decode write: drop the shared reference and fold those tokens
+        into the private allocation."""
+        rec = self.records[rid]
+        self.prefix_pool.cow_tail(rid)
+        rec.shared_tokens -= rec.shared_tail_tokens
+        rec.shared_tail_tokens = 0
+        rec.cow_copies += 1
 
     def _release_request(self, rid: int) -> None:
         """Free everything a request holds: private blocks and prefix refs."""
@@ -891,12 +902,15 @@ class ServingEngine:
                 self._mark("prefill_ready", f"r{rid}")
 
         # Token bookkeeping + cache growth (with preemption on OOM).
-        # Fast path: without a prefix pool there are no COW/shared-block
-        # transitions, so the whole batch's bookkeeping is four column
-        # scatters plus one allocator commit.  Any OOM along the way (or
-        # a request with no allocation to grow) falls back to the scalar
-        # loop below, which carries the preemption policy.
-        if n_dec and self.prefix_pool is None and not self.config.prefill_only:
+        # Fast path: the whole batch's bookkeeping is a few column
+        # scatters plus one allocator commit.  Copy-on-write and prefix
+        # releases move no allocator blocks, and the commit succeeds only
+        # when no row's ``_grow`` would have had to evict, so running
+        # them after the commit leaves exactly the scalar loop's state.
+        # Any OOM along the way (or a request with no allocation to grow)
+        # falls back to the scalar loop below, which carries the
+        # preemption policy.
+        if n_dec:
             alloc_index = self.allocator._index
             alloc_slots = np.fromiter(
                 (alloc_index.get(rid, -1) for rid in decoding),
@@ -907,14 +921,16 @@ class ServingEngine:
                 gen_new = dec_gen + 1
                 done = gen_new >= cols.gen_len[dec_slots]
                 # Growth reserves the *next* token's block; shared prefix
-                # tokens (always 0 without a pool, but kept for exactness
-                # with records migrated in) never count against private
-                # blocks.
+                # tokens never count against private blocks, except a
+                # pooled shared tail, which this step's write copies
+                # privately.
+                pool = self.prefix_pool
+                tail = cols.shared_tail_tokens[dec_slots] if pool is not None else 0
                 tokens = (
                     cols.prompt_len[dec_slots]
                     + gen_new
                     + 1
-                    - cols.shared_tokens[dec_slots]
+                    - (cols.shared_tokens[dec_slots] - tail)
                 )
                 done_pos = np.nonzero(done)[0]
                 release_ids = [decoding[i] for i in done_pos]
@@ -925,6 +941,9 @@ class ServingEngine:
                     first_new = ~cols.first_flag[dec_slots]
                     cols.first_flag[dec_slots] = True
                     cols.first_at[dec_slots[first_new]] = self.clock
+                    if pool is not None:
+                        for i in np.nonzero(tail)[0].tolist():
+                            self._cow_tail(decoding[i])
                     # Rare transitions (first token, finish) keep their
                     # scalar in-batch-order walk so trace marks appear in
                     # exactly the order the scalar loop emitted them.
@@ -942,8 +961,13 @@ class ServingEngine:
                             self.columns.unbind(rec)
                     for rid in finished:
                         running.remove(rid)
+                        if pool is not None:
+                            pool.release(rid)
                     return step_time
 
+        # Scalar fallback: copy-on-write runs in batch order here, row by
+        # row, because an early COW can leave a tail block unreferenced
+        # and so evictable by a later row's ``_grow``.
         finished = []
         for rid in list(decoding):
             if records[rid].status is not RequestStatus.RUNNING:
@@ -954,13 +978,7 @@ class ServingEngine:
                 rec.first_token_at = self.clock
                 self._mark("first_token", f"r{rid}")
             if rec.shared_tail_tokens and self.prefix_pool is not None:
-                # First decode write lands inside the shared tail block:
-                # copy-on-write — drop the shared reference and fold those
-                # tokens into the private allocation grown below.
-                self.prefix_pool.cow_tail(rid)
-                rec.shared_tokens -= rec.shared_tail_tokens
-                rec.shared_tail_tokens = 0
-                rec.cow_copies += 1
+                self._cow_tail(rid)
             if rec.done:
                 rec.status = RequestStatus.FINISHED
                 rec.finished_at = self.clock
@@ -973,12 +991,11 @@ class ServingEngine:
             if not self._grow(
                 rid, rec.context_len + 1 - rec.shared_tokens, self._bytes_scale(rec)
             ):
-                # OOM: preempt the most recent admission that isn't this
-                # request; if none, preempt this one.
-                victim = next(
-                    (v for v in reversed(running) if v != rid and v not in finished),
-                    rid,
-                )
+                # OOM: preempt the most recent admission, which is this
+                # request itself when nothing was admitted after it.  A
+                # request never preempts an older one, so two requests
+                # that cannot fit together cannot evict each other forever.
+                victim = next(v for v in reversed(running) if v not in finished)
                 self._release_request(victim)
                 records[victim].reset_for_requeue()
                 running.remove(victim)

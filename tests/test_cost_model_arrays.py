@@ -4,17 +4,27 @@
 ``kv_len``; nothing re-derives the formulas.  These tests pin what the
 serving engine's bulk decode relies on: every lane of the array call is
 bit-identical to the scalar call, and a bulk-advanced engine is
-indistinguishable from one that takes every step on its own.
+indistinguishable from one that takes every step on its own.  Within a
+step, growing the decode batch with one allocator commit ends in the
+same state as the scalar per-request loop.
 """
 
 import numpy as np
 import pytest
 
+from repro.overload import BrownoutConfig
 from repro.perf.attention_costs import METHODS, AttentionGeometry
 from repro.perf.e2e import ModelGeometry
 from repro.perf.gpu import A100_80GB, H100_80GB
 from repro.perf.tp import decode_step_latency_batch, tp_step_latency
-from repro.serving import EngineConfig, ServingEngine, poisson_workload
+from repro.prefix import PrefixCacheConfig
+from repro.serving import (
+    EngineConfig,
+    PagedKVAllocator,
+    ServingEngine,
+    poisson_workload,
+    zipf_shared_workload,
+)
 from repro.sim import ListTraceSink, trace_digest
 
 MODELS = {
@@ -118,3 +128,150 @@ class TestBulkDecodeMatchesScalarSteps:
         assert bulk_engine.records == loop_engine.records
         assert bulk_metrics == loop_metrics
         assert trace_digest(bulk_trace) == trace_digest(loop_trace)
+
+
+PHI3 = ModelGeometry.phi3_medium()
+#: Bytes of one turbo4 Phi3-medium cache block (64 tokens), to size
+#: budgets in blocks.
+BLOCK_BYTES = (
+    PagedKVAllocator(PHI3, METHODS["turbo4"], budget_bytes=2**40).bytes_per_token * 64
+)
+POOL = PrefixCacheConfig()
+
+#: ``id -> (EngineConfig kwargs, zipf_shared_workload kwargs)``.  Tight
+#: budgets make commits fail, so the scalar loop evicts warm cache and
+#: preempts; ``pool-tight`` livelocked under the old preemption rule.
+COMMIT_CASES = {
+    "pool-replays": (
+        dict(prefix=POOL), dict(n=100, seed=7, suffix=(0, 0), gen=(1, 8))
+    ),
+    "pool-mixed": (dict(prefix=POOL), dict(n=100, seed=7)),
+    "pool-tight": (
+        dict(prefix=POOL, kv_budget_bytes=32 * BLOCK_BYTES),
+        dict(n=30, seed=3, suffix=(0, 128), gen=(64, 256), tenants=20),
+    ),
+    "private-tight": (
+        dict(kv_budget_bytes=60 * BLOCK_BYTES), dict(n=100, seed=7, suffix=(0, 0))
+    ),
+    "pool-brownout": (
+        dict(
+            prefix=POOL, kv_budget_bytes=150 * BLOCK_BYTES,
+            brownout=BrownoutConfig(delay_scale_s=0.5, cooldown_s=0.5),
+        ),
+        dict(n=100, seed=7, suffix=(0, 0)),
+    ),
+    "pool-chunked": (
+        dict(prefix=POOL, kv_budget_bytes=150 * BLOCK_BYTES, prefill_chunk=128),
+        dict(n=100, seed=7, suffix=(0, 0)),
+    ),
+    "pool-tp2": (
+        dict(prefix=POOL, kv_budget_bytes=2 * 60 * BLOCK_BYTES, tp=2),
+        dict(n=100, seed=7, suffix=(0, 0)),
+    ),
+    "prefill-only-local": (
+        dict(prefix=POOL, kv_budget_bytes=60 * BLOCK_BYTES, prefill_only=True),
+        dict(n=60, seed=2, suffix=(0, 32), gen=(1, 48), tenants=20),
+    ),
+}
+
+
+def _zipf(n, seed, suffix=(0, 96), gen=(1, 64), tenants=30):
+    return zipf_shared_workload(
+        n, arrival_rate=30.0, n_tenants=tenants, zipf_s=1.5,
+        suffix_len_range=suffix, gen_range=gen, rng=np.random.default_rng(seed),
+    )
+
+
+def _drive_prefill_only(engine, requests):
+    """Open-loop prefill-pool run: odd request ids fall back to local
+    decode on this engine, even ones migrate out."""
+    engine.start()
+    for request in requests:
+        engine.submit(request)
+    while engine.busy:
+        engine.step()
+        for rec in engine.take_handoffs():
+            rid = rec.request.request_id
+            if rid % 2:
+                engine.resume_local_decode(rid)
+            else:
+                engine.release_migrated(rid)
+    return engine.summarize()
+
+
+def _commit_run(case):
+    config_kw, workload_kw = COMMIT_CASES[case]
+    sink = ListTraceSink()
+    engine = ServingEngine(
+        PHI3, METHODS["turbo4"], EngineConfig(max_iterations=50_000, **config_kw),
+        trace=sink,
+    )
+    requests = _zipf(**workload_kw)
+    if engine.config.prefill_only:
+        metrics = _drive_prefill_only(engine, requests)
+    else:
+        metrics = engine.run(requests)
+    return engine, metrics, trace_digest(sink.records)
+
+
+class TestBatchedCommitMatchesScalarLoop:
+    """The batched ``decode_commit`` path of ``ServingEngine.step`` —
+    prefix pools, copy-on-write and prefill pools included — leaves
+    exactly the state of the scalar per-request loop it replaces.  The
+    reference run patches ``decode_commit`` to refuse, which by its
+    contract mutates nothing and hands every step to the scalar loop."""
+
+    @pytest.mark.parametrize("case", list(COMMIT_CASES))
+    def test_identical_to_forced_scalar_loop(self, case, monkeypatch):
+        real = PagedKVAllocator.decode_commit
+        commits = []
+
+        def counting(self, *args):
+            ok = real(self, *args)
+            commits.append(ok)
+            return ok
+
+        monkeypatch.setattr(PagedKVAllocator, "decode_commit", counting)
+        batched, batched_metrics, batched_digest = _commit_run(case)
+        monkeypatch.setattr(
+            PagedKVAllocator, "decode_commit", lambda self, *args: False
+        )
+        scalar, scalar_metrics, scalar_digest = _commit_run(case)
+
+        assert any(commits), "no step took the batched commit"
+        assert batched.clock == scalar.clock
+        assert batched.iterations == scalar.iterations
+        assert batched.records == scalar.records
+        assert batched_metrics == scalar_metrics
+        assert batched_digest == scalar_digest
+        assert batched.allocator.free_blocks == scalar.allocator.free_blocks
+        assert batched.allocator.shared_blocks == scalar.allocator.shared_blocks
+        assert batched.allocator._allocs == scalar.allocator._allocs
+        pool, ref = batched.prefix_pool, scalar.prefix_pool
+        if pool is not None:
+            assert pool.refcount_snapshot() == ref.refcount_snapshot()
+            for counter in ("cow_copies", "evicted_blocks", "hits_tokens"):
+                assert getattr(pool, counter) == getattr(ref, counter)
+            assert pool.check_invariants() == []
+
+        if case == "pool-replays":
+            # Every step committed in batch, so every copy-on-write ran
+            # inside a commit — single-token replays included, which
+            # copy their tail and finish in the same step.
+            assert all(commits)
+            assert any(
+                r.request.gen_len == 1 and r.cow_copies == 1
+                for r in batched.records.values()
+            )
+        if case.endswith("-tight"):
+            assert not all(commits), "the tight budget never failed a commit"
+            assert batched_metrics.preemptions > 0
+            if pool is not None:
+                assert pool.evicted_blocks > 0
+        if case == "pool-brownout":
+            assert any(
+                r.kv_bits is not None and r.kv_bits < METHODS["turbo4"].kv_bits
+                for r in batched.records.values()
+            ), "brownout never narrowed an admission"
+        if case == "prefill-only-local":
+            assert any(r.local_decode for r in batched.records.values())

@@ -177,6 +177,20 @@ class TestTailAndCOW:
         assert pool.cow_tail(1) is None  # idempotent: tail already private
         assert pool.check_invariants() == []
 
+    def test_invariants_flag_a_stale_tail_key(self, model):
+        """A tail key left behind after copy-on-write (the block is still
+        warm, but no longer the request's last held block) is one named
+        problem."""
+        pool = PrefixPool(make_allocator(model))
+        pool.acquire(record(1, 290, 290), now=0.0)
+        tail_key = pool.held_keys(1)[-1]
+        pool.cow_tail(1)
+        assert pool.check_invariants() == []
+        pool._tail_key[1] = tail_key
+        assert pool.check_invariants() == [
+            f"request 1 has stale tail key {tail_key}"
+        ]
+
     def test_cow_preserves_bit_exact_payload(self, model):
         """A sharer's divergence never mutates bytes others read: the
         dequantized stream a second sharer decodes is identical before

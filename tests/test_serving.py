@@ -288,6 +288,36 @@ class TestPreemption:
         assert engine.records[0].preemptions >= 1
         assert engine.records[0].status is not RequestStatus.FINISHED
 
+    def test_younger_request_never_preempts_an_older_one(self, tiny):
+        """When the youngest request's growth OOMs, it preempts itself:
+        a request may only preempt requests admitted after it."""
+        reqs = [
+            Request(0, 0.0, prompt_len=13, gen_len=8),
+            Request(1, 0.0, prompt_len=15, gen_len=8),
+        ]
+        # 8 blocks: both prompts admit (4+4); r1's first generated token
+        # needs a 5th block with none free -> OOM -> r1 preempts itself.
+        engine = ServingEngine(tiny, METHODS["fp16"], self._config(blocks=8))
+        metrics = engine.run(reqs)
+        assert metrics.completed == 2
+        assert engine.records[0].preemptions == 0
+        assert engine.records[1].preemptions >= 1
+
+    def test_two_requests_that_cannot_fit_together_finish(self, tiny):
+        """Two requests whose peaks exceed the device together must not
+        evict each other forever: the older one runs to completion."""
+        reqs = [
+            Request(0, 0.0, prompt_len=13, gen_len=16),  # peaks at 8 blocks
+            Request(1, 0.0, prompt_len=15, gen_len=16),  # peaks at 8 blocks
+        ]
+        engine = ServingEngine(
+            tiny, METHODS["fp16"], self._config(blocks=10, max_iterations=5000)
+        )
+        metrics = engine.run(reqs)
+        assert metrics.completed == 2
+        assert engine.records[0].preemptions == 0
+        assert engine.records[1].preemptions >= 1
+
     def test_preempted_request_restarts_cleanly(self, tiny):
         """Recompute semantics: a preempted request re-prefills from
         scratch and still produces its full generation."""

@@ -13,6 +13,8 @@ import pytest
 
 from repro.cli import main
 from repro.perf import speed
+from repro.prefix import PrefixPool
+from repro.serving import PagedKVAllocator
 
 
 @pytest.fixture(scope="module")
@@ -44,6 +46,27 @@ class TestScenarios:
     def test_recover_scenario_reaches_the_snapshot_path(self, quick_suite):
         assert quick_suite["recover_wall_s"] > 0
         assert quick_suite["recover_snapshots"] > 0
+
+    def test_prefix_scenario_reports_wall_and_rate(self, quick_suite):
+        assert quick_suite["prefix_wall_s"] > 0
+        assert quick_suite["prefix_rps"] == pytest.approx(
+            300 / quick_suite["prefix_wall_s"]
+        )
+        assert quick_suite["prefix_probe_s"] > 0
+
+    def test_prefix_scenario_reaches_pool_and_batched_commit(self, monkeypatch):
+        calls = {"decode_commit": 0, "acquire": 0}
+        for cls, name in ((PagedKVAllocator, "decode_commit"), (PrefixPool, "acquire")):
+            real = getattr(cls, name)
+
+            def counting(self, *args, _real=real, _name=name):
+                calls[_name] += 1
+                return _real(self, *args)
+
+            monkeypatch.setattr(cls, name, counting)
+        speed.bench_prefix(quick=True, repeats=1)
+        assert calls["decode_commit"] > 0
+        assert calls["acquire"] > 0
 
     def test_pre_pr_records_every_gated_metric(self):
         for name, _direction in speed.GATED_METRICS:
@@ -92,7 +115,7 @@ class TestGate:
         # A cold or contended first probe at 4x the baseline's once scaled
         # every expectation by 4x; each scenario now takes the faster of
         # the probes around it, so a prefill 4x slower than baseline fails.
-        probes = iter([0.20] + [0.05] * 5)
+        probes = iter([0.20] + [0.05] * 6)
         monkeypatch.setattr(speed, "calibrate", lambda: next(probes))
         fake = {
             "prefill": {"prefill_s": 0.40},
@@ -100,6 +123,7 @@ class TestGate:
             "engine": {"engine_rps": 1000.0},
             "cluster": {"cluster_rps": 500.0},
             "recover": {"recover_wall_s": 1.0},
+            "prefix": {"prefix_wall_s": 1.0},
         }
         for name, metrics in fake.items():
             monkeypatch.setattr(speed, f"bench_{name}", lambda quick, m=metrics: dict(m))
@@ -163,6 +187,10 @@ class TestCli:
         out = capsys.readouterr().out
         assert "cumulative" in out
         assert "turbo_prefill" in out
+
+    def test_profile_prefix_runs_the_pooled_fleet(self, capsys):
+        assert main(["profile", "prefix", "--top", "5"]) == 0
+        assert "bench_prefix" in capsys.readouterr().out
 
     def test_profile_recover_reaches_take_snapshot(self, capsys):
         assert main(["profile", "recover", "--top", "40"]) == 0
