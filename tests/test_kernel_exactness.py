@@ -11,6 +11,8 @@ the shared INT8 core to each kernel's loop, and the bulk decode API vs
 the scalar step loop.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,7 @@ from repro.core import prefill as core_prefill
 from repro.core.config import TurboConfig
 from repro.core.decode import _gather_spans, turbo_decode_step, turbo_decode_steps
 from repro.core.prefill import turbo_prefill
-from repro.guard import GuardConfig
+from repro.guard import GuardConfig, GuardReport, NumericsError
 from repro.quant.integer_gemm import int_matmul
 
 from tests._reference_kernels import (
@@ -237,3 +239,242 @@ def test_decode_bulk_guarded_equals_scalar():
         ]
     )
     assert np.array_equal(bulk, scalar)
+
+
+# --- Pinned loop paths ------------------------------------------------------
+# The guard, the FP16-MatMul ablation and split-K reach each kernel's loop
+# path, which no oracle above covers with a guard that fires.  Each case
+# below pins a blake2b of its outputs (and lse), its nonzero guard
+# counters, its ordered guard events and the text of any NumericsError it
+# raised; the literals were recorded before the two kernels' loops merged.
+# Every poisoned input sits in a distinct tile (16-row query tiles, 24-key
+# K/V tiles, GQA group 2): NaN in query tiles 1 and 3, +Inf in key tile 1,
+# -Inf in value tile 2.  Decode cases run 40 guarded steps (non-finite
+# inputs at steps 3, 17 and 29) over a cache holding a zero and a NaN
+# block scale.  ``headroom_fraction=1e-7`` makes every guarded GEMM take
+# the chunked path, so overflow events interleave with the screens.  The
+# digests hash float64 bytes, so a platform whose float kernels round
+# differently has to re-record them.
+
+_LOOP_CONFIG = dict(block_q=16, block_k=24, buffer_size=24)
+_DEAD_HEADROOM = 1e-7
+
+
+def _loop_prompt(n_keys=75, poisoned=True):
+    q, k, v = _qkv(np.random.default_rng(41), 4, 2, 75, 16, n_keys)
+    if poisoned:
+        q[0, 20, 3] = np.nan
+        q[3, 50, 7] = np.nan
+        k[1, 30, 2] = np.inf
+        v[0, 55, 5] = -np.inf
+    return q, k, v
+
+
+def _loop_steps(poisoned=True, steps=40):
+    rng = np.random.default_rng(43)
+    qs = rng.standard_normal((steps, 4, 16))
+    ks = rng.standard_normal((steps, 2, 16))
+    vs = rng.standard_normal((steps, 2, 16))
+    if poisoned:
+        qs[3, 1, 2] = np.nan
+        ks[17, 0, 5] = np.nan
+        vs[29, 1, 0] = np.inf
+    return qs, ks, vs
+
+
+def _break_block_scales(cache):
+    # A restored cache can carry degenerate scales: decode screens them.
+    cache.blocks[1].k.float_scale[0] = 0.0
+    cache.blocks[2].v.float_scale[1] = np.nan
+
+
+def _prefill_case(n_keys=75, causal=True, **guard_kw):
+    def run(report):
+        q, k, v = _loop_prompt(n_keys)
+        res = turbo_prefill(
+            q, k, v, TurboConfig(**_LOOP_CONFIG), np.full(2, 4, dtype=np.int32),
+            causal=causal, guard=GuardConfig(**guard_kw), report=report,
+        )
+        return [res.output, res.lse]
+    return run
+
+
+def _decode_case(quantize_matmuls=True, guard_prefill=False, **guard_kw):
+    def run(report):
+        config = TurboConfig(**_LOOP_CONFIG, quantize_matmuls=quantize_matmuls)
+        guard = GuardConfig(**guard_kw)
+        q, k, v = _loop_prompt(poisoned=guard_prefill)
+        res = turbo_prefill(
+            q, k, v, config, np.full(2, 4, dtype=np.int32),
+            guard=guard if guard_prefill else None, report=report,
+        )
+        _break_block_scales(res.cache)
+        outs = turbo_decode_steps(
+            *_loop_steps(), res.cache, res.buffer, config, guard=guard, report=report
+        )
+        return [res.output, res.lse, outs]
+    return run
+
+
+def _unguarded_fp16_case(split_k=False):
+    def run(report):
+        config = TurboConfig(**_LOOP_CONFIG, quantize_matmuls=False)
+        bits = np.full(2, 4, dtype=np.int32)
+        res = turbo_prefill(*_loop_prompt(poisoned=False), config, bits)
+        qs, ks, vs = _loop_steps(poisoned=False)
+        if split_k:
+            outs = [
+                core_decode.turbo_decode_step_split_k(
+                    qs[t], ks[t], vs[t], res.cache, res.buffer, config, n_splits=1 + t % 3
+                )
+                for t in range(len(qs))
+            ]
+        else:
+            outs = [turbo_decode_steps(qs, ks, vs, res.cache, res.buffer, config)]
+        return [res.output, res.lse, *outs]
+    return run
+
+
+_LOOP_CASES = {
+    "prefill-fallback": _prefill_case(),
+    "prefill-fallback-fewer-keys": _prefill_case(n_keys=60),
+    "prefill-sanitize-noncausal-more-keys": _prefill_case(
+        n_keys=100, causal=False, on_nonfinite="sanitize"
+    ),
+    "prefill-raise": _prefill_case(on_nonfinite="raise"),
+    "prefill-fallback-headroom": _prefill_case(headroom_fraction=_DEAD_HEADROOM),
+    "prefill-sanitize-noncausal-more-keys-headroom": _prefill_case(
+        n_keys=100, causal=False, on_nonfinite="sanitize",
+        headroom_fraction=_DEAD_HEADROOM,
+    ),
+    "prefill-overflow-raise-fewer-keys": _prefill_case(
+        n_keys=60, on_overflow="raise", headroom_fraction=_DEAD_HEADROOM
+    ),
+    "decode-headroom": _decode_case(headroom_fraction=_DEAD_HEADROOM),
+    "decode-bad-scale-raise": _decode_case(
+        on_bad_scale="raise", headroom_fraction=_DEAD_HEADROOM
+    ),
+    "fp16": _unguarded_fp16_case(),
+    "fp16-guarded": _decode_case(quantize_matmuls=False, guard_prefill=True),
+    "fp16-split-k": _unguarded_fp16_case(split_k=True),
+}
+
+# case: (outputs digest, nonzero counters, (event count, events digest), error)
+LOOP_PINS = {
+    "decode-bad-scale-raise": (
+        None,
+        {"checks_run": 8, "overflow_chunked": 2},
+        (2, "8529a2e39d0302d82361c0c5"),
+        "numerics guard [bad_scale] tripped at decode span 1 k scale: "
+        "1 degenerate scales",
+    ),
+    "decode-headroom": (
+        "ff1d4d9a5ddd4e1183b334bb",
+        {
+            "checks_run": 784, "nonfinite_tiles": 3, "sanitized_values": 3,
+            "bad_scales": 74, "fallback_steps": 3, "overflow_chunked": 332,
+        },
+        (412, "6bb8f0994499b09f352f6a31"),
+        None,
+    ),
+    "fp16": (
+        "43d45692465c21f97722f2d2",
+        {},
+        (0, "b8e1dda3ac0aa3820ad2990b"),
+        None,
+    ),
+    "fp16-guarded": (
+        "8a10072a310f77b2e98ccbab",
+        {
+            "checks_run": 473, "nonfinite_tiles": 7, "sanitized_values": 7,
+            "bad_scales": 74, "fallback_tiles": 4, "fallback_steps": 3,
+        },
+        (84, "7feba913bc05d6478ad0dd19"),
+        None,
+    ),
+    "fp16-split-k": (
+        "56fdbb48454b98f85850f49a",
+        {},
+        (0, "b8e1dda3ac0aa3820ad2990b"),
+        None,
+    ),
+    "prefill-fallback": (
+        "d7c8fc1f0279ad979c549b59",
+        {
+            "checks_run": 29, "nonfinite_tiles": 4, "sanitized_values": 4,
+            "fallback_tiles": 4,
+        },
+        (4, "3d1adb743611ad6ab269bbc7"),
+        None,
+    ),
+    "prefill-fallback-fewer-keys": (
+        "499f148cc4422d5220122f95",
+        {
+            "checks_run": 23, "nonfinite_tiles": 4, "sanitized_values": 4,
+            "fallback_tiles": 4,
+        },
+        (4, "3d1adb743611ad6ab269bbc7"),
+        None,
+    ),
+    "prefill-fallback-headroom": (
+        "d7c8fc1f0279ad979c549b59",
+        {
+            "checks_run": 29, "nonfinite_tiles": 4, "sanitized_values": 4,
+            "fallback_tiles": 4, "overflow_chunked": 8,
+        },
+        (12, "9212062f2d82b7c4983d9184"),
+        None,
+    ),
+    "prefill-overflow-raise-fewer-keys": (
+        None,
+        {
+            "checks_run": 14, "nonfinite_tiles": 2, "sanitized_values": 2,
+            "fallback_tiles": 2,
+        },
+        (2, "d5bc3f17701c3ee83daeff21"),
+        "numerics guard [overflow] tripped at prefill qk q0 k0: "
+        "int32 accumulator headroom exhausted",
+    ),
+    "prefill-raise": (
+        None,
+        {"checks_run": 5},
+        (0, "b8e1dda3ac0aa3820ad2990b"),
+        "numerics guard [nonfinite] tripped at prefill k tile 1: 1 non-finite values",
+    ),
+    "prefill-sanitize-noncausal-more-keys": (
+        "3021edc10ba285b871951326",
+        {"checks_run": 75, "nonfinite_tiles": 4, "sanitized_values": 4},
+        (4, "3d1adb743611ad6ab269bbc7"),
+        None,
+    ),
+    "prefill-sanitize-noncausal-more-keys-headroom": (
+        "3021edc10ba285b871951326",
+        {
+            "checks_run": 75, "nonfinite_tiles": 4, "sanitized_values": 4,
+            "overflow_chunked": 50,
+        },
+        (54, "2cb66c88833f5e78c3a26b87"),
+        None,
+    ),
+}
+
+
+def _blake(data: bytes) -> str:
+    return hashlib.blake2b(data, digest_size=12).hexdigest()
+
+
+@pytest.mark.parametrize("case", sorted(_LOOP_CASES))
+def test_loop_paths_are_pinned(case):
+    report = GuardReport(max_events=4096)
+    arrays, error = None, None
+    try:
+        arrays = _LOOP_CASES[case](report)
+    except NumericsError as exc:
+        error = str(exc)
+    got = (
+        None if arrays is None else _blake(b"".join(a.tobytes() for a in arrays)),
+        {name: value for name, value in report.as_dict().items() if value},
+        (len(report.events), _blake("\n".join(report.events).encode())),
+        error,
+    )
+    assert got == LOOP_PINS[case]
