@@ -16,9 +16,10 @@ property that distinguishes TurboAttention from KIVI/GEAR's FP16 residual
 windows.
 
 Algorithm 2's inner loop is Algorithm 1's tiled INT8 x SAS online softmax
-run for one query row, so both kernels share one flattened implementation
-of it, :func:`_attend_tiles`; the per-tile and per-span loops it replaces
-remain as the guard and ablation paths.
+run for one query row, so both kernels reach attention through one
+selector, :func:`_attend`.  It runs the flattened core,
+:func:`_attend_tiles`, or else its loop twin, :func:`_attend_loop`, which
+is both kernels' guard, FP16-MatMul ablation and int32 fallback path.
 
 :func:`turbo_decode_step_split_k` is the FlashDecoding-composed variant:
 cache blocks are partitioned into splits, each split runs the same integer
@@ -30,7 +31,7 @@ schedulers.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Collection, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -116,8 +117,8 @@ def _attend_tiles(
     the whole probability row), one segmented P quantization and one
     batched PV GEMM per run of equal-length segments.
 
-    Bit-identical to the per-tile/per-span loops (and their oracles in
-    ``tests/_reference_kernels.py``): integer GEMM columns are
+    Bit-identical to its loop twin :func:`_attend_loop` (and to the
+    oracles in ``tests/_reference_kernels.py``): integer GEMM columns are
     independent, so slicing one concatenated product equals per-segment
     products; ``max`` returns one of its inputs under any grouping, so
     segmented maxes plus ``np.maximum.accumulate`` reproduce the
@@ -127,8 +128,8 @@ def _attend_tiles(
     is the same pairwise ``.sum`` over a slice of the same length).  The
     PV products are exact integers in float64 BLAS under the int32 bound
     checked first; when the actual code magnitudes cannot rule out int32
-    overflow this returns ``None`` and the caller runs its loop, whose
-    per-tile overflow policy then applies.
+    overflow this returns ``None`` and :func:`_attend` runs the loop twin,
+    whose integer GEMMs check overflow one (tile, segment) pair at a time.
 
     Returns ``(out (hkv, g, n, d), lse (hkv, g, n))``.  Query tiles loop
     here rather than in the callers so the per-tile temporaries reuse
@@ -233,82 +234,126 @@ def _dequantize(codes: np.ndarray, scale: np.ndarray) -> np.ndarray:
     return codes.astype(np.float64) * np.reshape(scale, (codes.shape[0], 1, 1))
 
 
-def _attend_spans(
-    spans: Sequence[Span],
+def _attend_loop(
     q: np.ndarray,
-    config: TurboConfig,
+    block_q: int,
+    spans: Sequence[Span],
     exp: Callable[[np.ndarray], np.ndarray],
     scale: float,
+    config: TurboConfig,
+    causal_offset: Optional[int] = None,
     guard: Optional[GuardConfig] = None,
     report: Optional[GuardReport] = None,
+    floats: Optional[Sequence[Tuple[np.ndarray, np.ndarray]]] = None,
+    fp16_spans: Collection[int] = (),
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Run Algorithm 2's inner loop for one query row ``q``, shape
-    ``(hkv, g, 1, d)``, over a list of INT8 spans.
+    """Loop twin of :func:`_attend_tiles`: the same recursion, one (query
+    tile, segment) pair at a time, over the same arguments (``config``
+    in place of ``mc``) to the same result.
 
-    Returns the normalized partial output ``(hkv, g, 1, d)`` and its
-    logsumexp ``(hkv, g, 1)`` — the mergeable split-K contract.
-
-    The unguarded integer path runs :func:`_attend_tiles`; the span loop
-    below is the guard path (the guard screens each span's scales in
-    order), the fallback when the int32 bound fails, and the
-    ``quantize_matmuls=False`` ablation, whose MatMuls run in FP16 over
-    the dequantized spans as prefill's do over its float tiles.
+    It is both kernels' guard, FP16-MatMul and int32 fallback path.  A
+    pair's two MatMuls are integer GEMMs, guarded by the accumulator
+    headroom check under ``guard``, unless ``quantize_matmuls`` is off,
+    the guard flagged its query tile, or its segment is in
+    ``fp16_spans``; then they run in FP16 over ``floats[j]`` (prefill's
+    sanitized float K/V tiles) or, without ``floats``, over the
+    dequantized codes.  The guard screens inputs in loop order where they
+    can still be repaired: with ``floats`` each query tile (the K/V tiles
+    were screened when quantized), without them each stored segment's
+    scales (the codes are integers and cannot be non-finite).
     """
+    hkv, g, n, d = q.shape
     mc = config.int8_max_code
+    kernel = "decode" if floats is None else "prefill"
+    out = np.zeros((hkv, g, n, d), dtype=np.float64)
+    lse = np.zeros((hkv, g, n), dtype=np.float64)
+    for t, qs in enumerate(range(0, n, block_q)):
+        qe = min(qs + block_q, n)
+        q_tile = q[:, :, qs:qe, :]
+        fp16_tile = not config.quantize_matmuls
+        if guard is not None and floats is not None:
+            q_tile, bad_q = check_finite_tile(q_tile, f"prefill q tile {t}", guard, report)
+            if bad_q:
+                report.fallback_tiles += 1
+                fp16_tile = True
+        if not fp16_tile:
+            qc, q_scale = quantize_tile(q_tile, mc)
+        m = np.full((hkv, g, qe - qs), -np.inf)
+        l = np.zeros((hkv, g, qe - qs))
+        acc = np.zeros((hkv, g, qe - qs, d))
+        ke = 0
+        for j, (k_codes, v_codes, k_scale, v_scale) in enumerate(spans):
+            ks, ke = ke, ke + k_codes.shape[-2]
+            if causal_offset is not None and ks > qe - 1 + causal_offset:
+                break
+            where = f"span {j}" if floats is None else f"q{t} k{j}"
+            if guard is not None and floats is None:
+                k_scale = check_scale(k_scale, f"decode span {j} k scale", guard, report)
+                v_scale = check_scale(v_scale, f"decode span {j} v scale", guard, report)
+            fp16 = fp16_tile or j in fp16_spans
+            if fp16:
+                if floats is None:
+                    k_f, v_f = _dequantize(k_codes, k_scale), _dequantize(v_codes, v_scale)
+                else:
+                    k_f, v_f = floats[j]
+                s_tile = fp16_matmul(q_tile, np.swapaxes(k_f, -1, -2)[:, None, :, :]) * scale
+            else:
+                kT = np.swapaxes(k_codes, -1, -2)[:, None, :, :]
+                gemm = int_matmul(qc, kT) if guard is None else guarded_int_matmul(
+                    qc, kT, f"{kernel} qk {where}", guard, report
+                )
+                s_tile = (q_scale * np.reshape(k_scale, (hkv, 1, 1, 1)) * gemm) * scale
+            if causal_offset is not None:
+                s_tile = s_tile + causal_mask_block(qs, qe - qs, ks, ke - ks, causal_offset)
+            m_new = np.maximum(m, s_tile.max(axis=-1))
+            with np.errstate(invalid="ignore"):
+                corr = exp(m - m_new)
+            corr = np.where(np.isfinite(m), corr, 0.0)
+            p = exp(s_tile - m_new[..., None])
+            l = corr * l + p.sum(axis=-1)
+            if fp16:
+                pv = fp16_matmul(p, v_f[:, None, :, :])
+            else:
+                pc, p_scale = quantize_tile(p, mc)
+                vc = v_codes[:, None, :, :]
+                gemm = int_matmul(pc, vc) if guard is None else guarded_int_matmul(
+                    pc, vc, f"{kernel} pv {where}", guard, report
+                )
+                pv = p_scale * np.reshape(v_scale, (hkv, 1, 1, 1)) * gemm
+            acc = corr[..., None] * acc + pv
+            m = m_new
+        safe_l = np.where(l > 0, l, 1.0)
+        out[:, :, qs:qe, :] = acc / safe_l[..., None]
+        lse[:, :, qs:qe] = np.where(l > 0, m + np.log(safe_l), -np.inf)
+    return out, lse
+
+
+def _attend(
+    q: np.ndarray,
+    block_q: int,
+    spans: Sequence[Span],
+    exp: Callable[[np.ndarray], np.ndarray],
+    scale: float,
+    config: TurboConfig,
+    causal_offset: Optional[int] = None,
+    guard: Optional[GuardConfig] = None,
+    report: Optional[GuardReport] = None,
+    floats: Optional[Sequence[Tuple[np.ndarray, np.ndarray]]] = None,
+    fp16_spans: Collection[int] = (),
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Attention for both kernels: the flattened core
+    :func:`_attend_tiles` when no guard runs, both MatMuls are INT8 and
+    the core's int32 bound holds, else :func:`_attend_loop` (which takes
+    the same arguments).  Returns ``(out (hkv, g, n, d), lse (hkv, g,
+    n))``, normalized; decode's one-row ``(out, lse)`` partials are the
+    mergeable split-K contract."""
     if guard is None and config.quantize_matmuls:
-        flat = _attend_tiles(q, 1, spans, exp, scale, mc)
+        flat = _attend_tiles(q, block_q, spans, exp, scale, config.int8_max_code, causal_offset)
         if flat is not None:
             return flat
-    hkv, g, _, d = q.shape
-    if config.quantize_matmuls:
-        qc, q_scale = quantize_tile(q, mc)
-
-    def _imatmul(a, b, where):
-        if guard is not None:
-            return guarded_int_matmul(a, b, where, guard, report)
-        return int_matmul(a, b)
-
-    m = np.full((hkv, g, 1), -np.inf)
-    l = np.zeros((hkv, g, 1))
-    acc = np.zeros((hkv, g, 1, d))
-    for i, (k_codes, v_codes, k_scale, v_scale) in enumerate(spans):
-        if guard is not None:
-            # A restored/corrupted span can carry degenerate scales; the
-            # codes themselves are integers and cannot be non-finite.
-            k_scale = check_scale(k_scale, f"decode span {i} k scale", guard, report)
-            v_scale = check_scale(v_scale, f"decode span {i} v scale", guard, report)
-        if config.quantize_matmuls:
-            s_tile = (
-                q_scale
-                * np.reshape(k_scale, (hkv, 1, 1, 1))
-                * _imatmul(
-                    qc, np.swapaxes(k_codes, -1, -2)[:, None, :, :], f"decode qk span {i}"
-                )
-            ) * scale
-        else:
-            k_f = _dequantize(k_codes, k_scale)
-            s_tile = fp16_matmul(q, np.swapaxes(k_f, -1, -2)[:, None, :, :]) * scale
-        m_new = np.maximum(m, s_tile.max(axis=-1))
-        with np.errstate(invalid="ignore"):
-            corr = exp(m - m_new)
-        corr = np.where(np.isfinite(m), corr, 0.0)
-        p = exp(s_tile - m_new[..., None])
-        l = corr * l + p.sum(axis=-1)
-        if config.quantize_matmuls:
-            pc, p_scale = quantize_tile(p, mc)
-            pv = (
-                p_scale
-                * np.reshape(v_scale, (hkv, 1, 1, 1))
-                * _imatmul(pc, v_codes[:, None, :, :], f"decode pv span {i}")
-            )
-        else:
-            pv = fp16_matmul(p, _dequantize(v_codes, v_scale)[:, None, :, :])
-        acc = corr[..., None] * acc + pv
-        m = m_new
-    safe_l = np.where(l > 0, l, 1.0)
-    out = acc / safe_l[..., None]
-    lse = np.where(l > 0, m + np.log(safe_l), -np.inf)
-    return out, lse
+    return _attend_loop(
+        q, block_q, spans, exp, scale, config, causal_offset, guard, report, floats, fp16_spans
+    )
 
 
 def _gather_spans(
@@ -477,9 +522,9 @@ def turbo_decode_steps(
     head_dim)``.  Each step screens its inputs under the guard, stages the
     token (flushing a full buffer through the escalator), then attends
     over the cache blocks plus the buffer: through the FP16 reference
-    path when the guard flagged the step, otherwise through the INT8
-    inner loop (:func:`_attend_tiles`, or the per-span loop under a guard
-    or an ablation).  Cache blocks are decompressed once, when they first
+    path when the guard flagged the step, otherwise through
+    :func:`_attend` (the flattened INT8 core, or its loop twin under a
+    guard, the FP16-MatMul ablation or a failed int32 bound).  Cache blocks are decompressed once, when they first
     appear — blocks are immutable after
     :meth:`~repro.core.kvcache.QuantizedKVCache.append_block`, so the INT8
     view never changes — and the SAS callable is resolved once per run.
@@ -520,7 +565,7 @@ def turbo_decode_steps(
             report.record("fallback_step:decode")
             step_out = _reference_step_from_spans(spans, q, scale)
         else:
-            step_out, _lse = _attend_spans(spans, q, config, exp, scale, guard, report)
+            step_out, _lse = _attend(q, 1, spans, exp, scale, config, guard=guard, report=report)
         out[t] = step_out.reshape(hq, d)
     return out
 
@@ -559,7 +604,7 @@ def turbo_decode_step_split_k(
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         if hi == lo:
             continue
-        out, lse = _attend_spans(spans[lo:hi], q, config, exp, scale)
+        out, lse = _attend(q, 1, spans[lo:hi], exp, scale, config)
         outs.append(out)
         lses.append(lse)
     merged, _ = merge_partials(outs, lses)

@@ -13,6 +13,12 @@ The flash-attention tiling loop with three changes:
    (a tail longer than the buffer flushes into a shorter cache block
    whenever the buffer fills, exactly as decode does).
 
+The attention itself is :func:`repro.core.decode._attend`, shared with the
+decode kernel: the flattened INT8 core, or its loop twin under a guard, the
+FP16-MatMul ablation or a failed int32 bound.  Prefill passes the loop its
+sanitized float tiles, so a guard-flagged query or K/V tile runs its
+MatMuls in FP16 over them.
+
 Grouped-query attention is supported: ``q`` may carry ``G`` query heads per
 KV head; the kernel broadcasts K/V across the group while the cache stores
 only the KV heads.
@@ -31,15 +37,15 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.attention.masks import causal_mask_block
 from repro.core.buffer import DecodeBuffer
 from repro.core.config import TurboConfig
-from repro.core.decode import _attend_tiles, _exp_fn, quantize_tile
+from repro.core.decode import _attend, _exp_fn, quantize_tile
 from repro.core.kvcache import QuantizedKVCache
-from repro.fp.formats import fp16_matmul
-from repro.guard.numerics import check_finite_tile, check_scale, guarded_int_matmul
+from repro.guard.numerics import check_finite_tile, check_scale
 from repro.guard.report import GuardConfig, GuardReport
-from repro.quant.integer_gemm import int_matmul
+# Unused here since the kernels share one loop, but bench/trace.py still
+# patches this name to count prefill's integer GEMMs.
+from repro.quant.integer_gemm import int_matmul  # noqa: F401
 
 __all__ = ["PrefillResult", "turbo_prefill", "quantize_tile"]
 
@@ -205,83 +211,12 @@ def turbo_prefill(
                 cache.append_block(*buffer.drain())
             buffer.extend(tail_k[:, ts : ts + nb, :], tail_v[:, ts : ts + nb, :])
 
-    def _imatmul(a, b, where):
-        if guard is not None:
-            return guarded_int_matmul(a, b, where, guard, report)
-        return int_matmul(a, b)
-
     # --- Compute: tiled online-softmax attention on the INT8 codes.
-    # Unguarded integer prefill runs the flattened inner loop it shares
-    # with decode; the tile loop below is the guard/ablation path (a
-    # flagged tile reruns in FP16) and the fallback when the int32 bound
-    # fails.
-    flat = None
-    if guard is None and config.quantize_matmuls:
-        spans = [(kc, vc, ksc, vsc) for (kc, ksc), (vc, vsc) in zip(k_tiles, v_tiles)]
-        flat = _attend_tiles(qg, bq, spans, exp, scale, mc, offset if causal else None)
-    if flat is not None:
-        out, lse = flat
-    else:
-        out = np.zeros((hkv, g, n, d), dtype=np.float64)
-        lse = np.zeros((hkv, g, n), dtype=np.float64)
-        for qs in range(0, n, bq):
-            qe = min(qs + bq, n)
-            q_tile = qg[:, :, qs:qe, :]
-            bad_q = False
-            if guard is not None:
-                q_tile, bad_q = check_finite_tile(
-                    q_tile, f"prefill q tile {qs // bq}", guard, report
-                )
-                if bad_q:
-                    report.fallback_tiles += 1
-            qc, qsc = quantize_tile(q_tile, mc)  # scale shape (hkv, g, 1, 1)
-            m = np.full((hkv, g, qe - qs), -np.inf)
-            l = np.zeros((hkv, g, qe - qs))
-            acc = np.zeros((hkv, g, qe - qs, d))
-            for j, (ks, ke) in enumerate(bounds):
-                if causal and ks > qe - 1 + offset:
-                    break
-                kc, ksc = k_tiles[j]
-                vc, vsc = v_tiles[j]
-                # A tile flagged by the guard reruns on the FP16 reference
-                # path (its sanitized floats) instead of the integer path.
-                use_int = config.quantize_matmuls and not (bad_q or j in bad_kv)
-                if use_int:
-                    s_tile = (
-                        qsc
-                        * ksc[:, None, :, :]
-                        * _imatmul(
-                            qc, np.swapaxes(kc, -1, -2)[:, None, :, :],
-                            f"prefill qk q{qs // bq} k{j}",
-                        )
-                    ) * scale
-                else:
-                    s_tile = fp16_matmul(
-                        q_tile, np.swapaxes(f_tiles[j][0], -1, -2)[:, None, :, :]
-                    ) * scale
-                if causal:
-                    s_tile = s_tile + causal_mask_block(qs, qe - qs, ks, ke - ks, offset)
-                m_new = np.maximum(m, s_tile.max(axis=-1))
-                with np.errstate(invalid="ignore"):
-                    corr = exp(m - m_new)
-                corr = np.where(np.isfinite(m), corr, 0.0)
-                p = exp(s_tile - m_new[..., None])
-                l = corr * l + p.sum(axis=-1)
-                if use_int:
-                    pc, psc = quantize_tile(p, mc)
-                    pv = psc * vsc[:, None, :, :] * _imatmul(
-                        pc, vc[:, None, :, :], f"prefill pv q{qs // bq} k{j}"
-                    )
-                else:
-                    pv = fp16_matmul(
-                        p.astype(np.float16).astype(np.float64),
-                        f_tiles[j][1][:, None, :, :],
-                    )
-                acc = corr[..., None] * acc + pv
-                m = m_new
-            safe_l = np.where(l > 0, l, 1.0)
-            out[:, :, qs:qe, :] = acc / safe_l[..., None]
-            lse[:, :, qs:qe] = np.where(l > 0, m + np.log(safe_l), -np.inf)
+    spans = [(kc, vc, ksc, vsc) for (kc, ksc), (vc, vsc) in zip(k_tiles, v_tiles)]
+    out, lse = _attend(
+        qg, bq, spans, exp, scale, config, offset if causal else None,
+        guard, report, floats=f_tiles, fp16_spans=bad_kv,
+    )
 
     return PrefillResult(
         output=out.reshape(hq, n, d),

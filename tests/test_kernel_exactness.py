@@ -17,7 +17,6 @@ import numpy as np
 import pytest
 
 from repro.core import decode as core_decode
-from repro.core import prefill as core_prefill
 from repro.core.config import TurboConfig
 from repro.core.decode import _gather_spans, turbo_decode_step, turbo_decode_steps
 from repro.core.prefill import turbo_prefill
@@ -41,7 +40,7 @@ def _qkv(rng, hq, hkv, n, d, n_keys=None):
 
 
 def _count_calls(monkeypatch, module, name="int_matmul"):
-    """Count calls of ``module.name`` (a kernel's integer GEMM entry)."""
+    """Count calls of ``module.name`` (by default the kernels' integer GEMM)."""
     calls = []
     original = getattr(module, name)
 
@@ -91,11 +90,10 @@ def test_prefill_matches_loop_oracle(hq, hkv, kv_bits):
 )
 def test_prefill_matches_loop_oracle_variants(kwargs, n_keys, int32_max, monkeypatch):
     # ``int32_max`` patches the shared core's headroom bound so that it
-    # bails out and the tile loop runs instead; prefill's own
-    # ``int_matmul`` is called only by that loop.
+    # bails out and its loop twin runs instead.
     if int32_max is not None:
         monkeypatch.setattr(core_decode, "_INT32_MAX", int32_max)
-    loop_calls = _count_calls(monkeypatch, core_prefill)
+    loop_calls = _count_calls(monkeypatch, core_decode, "_attend_loop")
     rng = np.random.default_rng(17)
     q, k, v = _qkv(rng, 8, 2, 250, 64, n_keys)
     config = TurboConfig(**kwargs)
