@@ -54,7 +54,8 @@ class TurboConfig:
         headroom (Algorithm 1).
     clamp_code:
         Clamp bound applied when decode tokens are quantized with the
-        frozen universal scale (§3.3).
+        frozen universal scale (§3.3); it lies in [1, 127], since the
+        buffer stores its codes as int8.
     """
 
     block_q: int = 64
@@ -88,6 +89,8 @@ class TurboConfig:
             raise ValueError(f"unknown head_selection: {self.head_selection!r}")
         if not 1 <= self.int8_max_code <= 127:
             raise ValueError("int8_max_code must lie in [1, 127]")
+        if not 1 <= self.clamp_code <= 127:
+            raise ValueError("clamp_code must lie in [1, 127]: the buffer stores int8 codes")
 
     def average_kv_bits(self) -> float:
         """Nominal average code bits per cached value (excl. metadata)."""

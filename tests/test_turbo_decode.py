@@ -189,6 +189,9 @@ class TestConfigValidation:
             {"two_bit_fraction": 1.5},
             {"head_selection": "magic"},
             {"int8_max_code": 0},
+            # The buffer stores int8 codes: a wider clamp would wrap.
+            {"clamp_code": 0},
+            {"clamp_code": 128},
             # A flush of 64 buffered tokens cannot fit a 56-token block.
             {"block_q": 48, "block_k": 56, "buffer_size": 64},
         ],
