@@ -1,29 +1,38 @@
 """Bit-exactness of the vectorized kernels against loop oracles.
 
-The PR that batched the tile/span iteration promised *zero* numeric
-drift: every fast path must produce byte-identical floats to the naive
-per-tile / per-span loop it replaced.  These tests pin that promise with
-``np.array_equal`` (no tolerances) across the axes that select different
-code paths: guard on/off, KV storage widths, GQA grouping, SAS on/off,
-ragged tile shapes, more or fewer keys than queries, decode past buffer
-flushes and over cache blocks of two lengths, the int32 bail-out from
-the shared INT8 core to each kernel's loop, and the bulk decode API vs
-the scalar step loop.
+Both kernels reach attention through one selector,
+``core.decode._attend``: the flattened INT8 core ``_attend_tiles``, or
+its loop twin ``_attend_loop`` under a guard, the FP16-MatMul ablation
+or a failed int32 bound.  Every path must produce byte-identical floats
+to the naive per-tile / per-span loops in ``tests/_reference_kernels.py``.
+These tests pin that with ``np.array_equal`` (no tolerances) across the
+axes that select different code paths: guard on/off, KV storage widths,
+GQA grouping, SAS on/off, ragged tile shapes, more or fewer keys than
+queries, decode past buffer flushes and over cache blocks of two
+lengths, the int32 bail-out from the core to its loop twin, and the
+bulk decode API vs the scalar step loop.  Loop paths no oracle covers (a
+guard that fires, FP16 MatMuls, split-K) are pinned by digest, and a
+Hypothesis test draws the kernel config space against the oracles.
 """
 
 import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import decode as core_decode
 from repro.core.config import TurboConfig
 from repro.core.decode import _gather_spans, turbo_decode_step, turbo_decode_steps
 from repro.core.prefill import turbo_prefill
+from repro.core.serialization import state_from_arrays, state_to_arrays
+from repro.core.turbo import TurboKVState
 from repro.guard import GuardConfig, GuardReport, NumericsError
 from repro.quant.integer_gemm import int_matmul
+from repro.quant.progressive import LEGAL_BITS
 
 from tests._reference_kernels import (
+    assert_same_payload,
     naive_int_matmul,
     reference_decode_attend,
     reference_prefill_attention,
@@ -120,8 +129,8 @@ def test_prefill_noncausal_matches_loop_oracle():
 
 
 def test_prefill_guard_on_equals_off_on_clean_inputs():
-    # The guard path keeps the per-tile loop; on clean inputs (nothing
-    # trips) it must agree with the batched guard-free path bit for bit.
+    # A guard runs the loop twin; on clean inputs (nothing trips) it must
+    # agree with the flattened core bit for bit.
     rng = np.random.default_rng(5)
     q, k, v = _qkv(rng, 8, 2, 200, 64)
     config = TurboConfig()
@@ -153,7 +162,7 @@ def test_decode_step_matches_span_oracle(
     hq, hkv, steps, kwargs, int32_max, kv_bits, monkeypatch
 ):
     # ``int32_max`` patches the shared core's headroom bound so that it
-    # bails out and the span loop runs: two integer GEMMs per span
+    # bails out and its loop twin runs: two integer GEMMs per span
     # instead of one QK GEMM per step.
     if int32_max is not None:
         monkeypatch.setattr(core_decode, "_INT32_MAX", int32_max)
@@ -240,8 +249,8 @@ def test_decode_bulk_guarded_equals_scalar():
 
 
 # --- Pinned loop paths ------------------------------------------------------
-# The guard, the FP16-MatMul ablation and split-K reach each kernel's loop
-# path, which no oracle above covers with a guard that fires.  Each case
+# The guard, the FP16-MatMul ablation and split-K reach the loop twin on
+# paths no oracle above covers (a guard that fires, FP16 MatMuls).  Each case
 # below pins a blake2b of its outputs (and lse), its nonzero guard
 # counters, its ordered guard events and the text of any NumericsError it
 # raised; the literals were recorded before the two kernels' loops merged.
@@ -476,3 +485,78 @@ def test_loop_paths_are_pinned(case):
         error,
     )
     assert got == LOOP_PINS[case]
+
+
+# --- Kernel config space vs the loop oracles --------------------------------
+
+_BLOCKS = (8, 16, 24, 32, 48, 64)
+
+
+@st.composite
+def _kernel_draws(draw):
+    kv_bits = draw(st.sampled_from(LEGAL_BITS))
+    hkv = draw(st.integers(1, 2))
+    n = draw(st.integers(1, 149))
+    return dict(
+        config=dict(
+            block_q=draw(st.sampled_from(_BLOCKS)),
+            block_k=draw(st.sampled_from(_BLOCKS)),
+            buffer_size=draw(st.integers(1, 79)),
+            kv_bits=kv_bits,
+            # About one draw in six falls outside the int8 range [1, 127].
+            clamp_code=draw(st.integers(-8, 143)),
+            use_sas=draw(st.booleans()),
+            quantize_matmuls=draw(st.booleans()),
+        ),
+        guarded=draw(st.booleans()),
+        hkv=hkv,
+        group=draw(st.integers(1, 2)),
+        head_dim=draw(st.sampled_from([8, 16])),
+        head_bits=draw(st.one_of(
+            st.just([kv_bits] * hkv),
+            st.lists(st.sampled_from(LEGAL_BITS), min_size=hkv, max_size=hkv),
+        )),
+        n=n,
+        # Equal keys half the time, else fewer or more.
+        n_keys=draw(st.one_of(st.just(n), st.integers(1, 149))),
+        steps=draw(st.integers(0, 89)),
+        seed=draw(st.integers(0, 2**16)),
+    )
+
+
+@given(_kernel_draws())
+@settings(max_examples=60, deadline=None)
+def test_kernel_config_space_matches_loop_oracles(draw):
+    # Each draw is rejected by TurboConfig or runs prefill plus a decode
+    # run to completion.  With INT8 MatMuls every output equals the loop
+    # oracle byte for byte; a guard routes both kernels through the loop
+    # twin, and with nothing to screen it must agree too.  The cache and
+    # buffer hold every token once, and the state round-trips.
+    try:
+        config = TurboConfig(**draw["config"])
+    except ValueError:
+        return
+    hkv, d = draw["hkv"], draw["head_dim"]
+    hq = hkv * draw["group"]
+    guard = GuardConfig() if draw["guarded"] else None
+    rng = np.random.default_rng(draw["seed"])
+    q, k, v = _qkv(rng, hq, hkv, draw["n"], d, draw["n_keys"])
+    res = turbo_prefill(q, k, v, config, np.asarray(draw["head_bits"]), guard=guard)
+    exact = config.quantize_matmuls
+    if exact:
+        ref_out, ref_lse = reference_prefill_attention(q, k, v, config)
+        assert np.array_equal(res.output, ref_out)
+        assert np.array_equal(res.lse, ref_lse)
+    cache, buffer = res.cache, res.buffer
+    for _ in range(draw["steps"]):
+        q_t = rng.standard_normal((hq, d))
+        k_t = rng.standard_normal((hkv, d))
+        v_t = rng.standard_normal((hkv, d))
+        out = turbo_decode_step(q_t, k_t, v_t, cache, buffer, config, guard=guard)
+        if exact:
+            ref, _ = reference_decode_attend(_gather_spans(cache, buffer), q_t, hkv, config)
+            assert np.array_equal(out, ref)
+    assert cache.seq_len + len(buffer) == draw["n_keys"] + draw["steps"]
+    assert all(0 < block.length <= config.block_k for block in cache.blocks)
+    arrays = state_to_arrays(TurboKVState(cache=cache, buffer=buffer, head_bits=res.head_bits))
+    assert_same_payload(state_to_arrays(state_from_arrays(arrays)), arrays)
