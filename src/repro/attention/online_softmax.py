@@ -6,8 +6,11 @@ running exponential sum ``l`` and a running (unnormalized) output
 accumulator, rescaling previous state by ``exp(m_old - m_new)`` whenever a
 new tile raises the maximum.
 
-The state-machine form here is used directly by the flash and turbo kernels
-and is tested on its own against the two-pass softmax.
+The state-machine form here is used directly by the FP16 flash kernel
+(:mod:`repro.attention.flash`) and the FP8 baseline
+(:mod:`repro.baselines.fp8_flash`), and is tested on its own against the
+two-pass softmax.  The turbo kernels inline the same recursion around
+their integer GEMMs (:mod:`repro.core.decode`).
 """
 
 from __future__ import annotations
