@@ -247,12 +247,12 @@ def _attend_loop(
     floats: Optional[Sequence[Tuple[np.ndarray, np.ndarray]]] = None,
     fp16_spans: Collection[int] = (),
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Loop twin of :func:`_attend_tiles`: the same recursion, one (query
-    tile, segment) pair at a time, over the same arguments (``config``
-    in place of ``mc``) to the same result.
+    """Loop twin of :func:`_attend_tiles`: the same recursion and result,
+    one (query tile, segment) pair at a time.
 
-    It is both kernels' guard, FP16-MatMul and int32 fallback path.  A
-    pair's two MatMuls are integer GEMMs, guarded by the accumulator
+    It is both kernels' guard, FP16-MatMul and int32 fallback path, and
+    takes the core's arguments (``config`` in place of ``mc``) plus the
+    guard's and the FP16 path's.  A pair's two MatMuls are integer GEMMs, guarded by the accumulator
     headroom check under ``guard``, unless ``quantize_matmuls`` is off,
     the guard flagged its query tile, or its segment is in
     ``fp16_spans``; then they run in FP16 over ``floats[j]`` (prefill's
