@@ -27,6 +27,7 @@ from repro.core.decode import _gather_spans, turbo_decode_step, turbo_decode_ste
 from repro.core.prefill import turbo_prefill
 from repro.core.serialization import state_from_arrays, state_to_arrays
 from repro.core.turbo import TurboKVState
+from repro.fp.formats import fp16_matmul
 from repro.guard import GuardConfig, GuardReport, NumericsError
 from repro.quant.integer_gemm import int_matmul
 from repro.quant.progressive import LEGAL_BITS
@@ -259,9 +260,10 @@ def test_decode_bulk_guarded_equals_scalar():
 # -Inf in value tile 2.  Decode cases run 40 guarded steps (non-finite
 # inputs at steps 3, 17 and 29) over a cache holding a zero and a NaN
 # block scale.  ``headroom_fraction=1e-7`` makes every guarded GEMM take
-# the chunked path, so overflow events interleave with the screens.  The
-# digests hash float64 bytes, so a platform whose float kernels round
-# differently has to re-record them.
+# the chunked path, so overflow events interleave with the screens.
+# Output digests hash float64 bytes, so they are compared only where the
+# float kernels match the recording platform's; the counters, events and
+# errors are compared everywhere.
 
 _LOOP_CONFIG = dict(block_q=16, block_k=24, buffer_size=24)
 _DEAD_HEADROOM = 1e-7
@@ -470,6 +472,24 @@ def _blake(data: bytes) -> str:
     return hashlib.blake2b(data, digest_size=12).hexdigest()
 
 
+def _float_kernels_digest() -> str:
+    # The last bits of the loop's outputs depend on float kernels that
+    # vary by platform: NumPy's SIMD ``exp``/``log`` and the BLAS float32
+    # and float64 GEMMs behind ``fp16_matmul`` and the reference step.
+    # Their digest on fixed inputs identifies the recording platform.
+    rng = np.random.default_rng(0)
+    x = -8 * np.abs(rng.standard_normal(1024))
+    a, b = rng.standard_normal((2, 2, 16, 24)), rng.standard_normal((2, 1, 24, 16))
+    q, k = rng.standard_normal((2, 2, 1, 16)), rng.standard_normal((2, 1, 16, 99))
+    parts = [np.exp(x), np.log(1 - x), fp16_matmul(a, b), fp16_matmul(q, k), q @ k]
+    return _blake(b"".join(part.tobytes() for part in parts))
+
+
+#: ``_float_kernels_digest()`` where the output digests were recorded
+#: (x86-64 with AVX-512, NumPy 2.4, OpenBLAS SkylakeX kernels).
+_RECORDED_FLOAT_KERNELS = "84a012eee99cf7dbf7df52b6"
+
+
 @pytest.mark.parametrize("case", sorted(_LOOP_CASES))
 def test_loop_paths_are_pinned(case):
     report = GuardReport(max_events=4096)
@@ -478,13 +498,17 @@ def test_loop_paths_are_pinned(case):
         arrays = _LOOP_CASES[case](report)
     except NumericsError as exc:
         error = str(exc)
-    got = (
-        None if arrays is None else _blake(b"".join(a.tobytes() for a in arrays)),
+    digest, *control = LOOP_PINS[case]
+    # Counters, events and errors follow the control flow alone, so they
+    # hold on every platform.
+    assert [
         {name: value for name, value in report.as_dict().items() if value},
         (len(report.events), _blake("\n".join(report.events).encode())),
         error,
-    )
-    assert got == LOOP_PINS[case]
+    ] == control
+    if _float_kernels_digest() != _RECORDED_FLOAT_KERNELS:
+        pytest.skip("output digests were recorded on other float kernels")
+    assert (None if arrays is None else _blake(b"".join(a.tobytes() for a in arrays))) == digest
 
 
 # --- Kernel config space vs the loop oracles --------------------------------
