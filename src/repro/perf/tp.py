@@ -106,13 +106,24 @@ def decode_step_latency_batch(
     (:class:`AttentionGeometry` and :meth:`GPUSpec.latency` work
     element-wise), so element ``i`` is bit-identical to the scalar
     ``tp_step_latency(method, model, batch, 1, kv_lens[i], prefill=False,
-    tp, gpu)``.  The serving simulator's bulk decode advance
-    (:meth:`repro.serving.engine.ServingEngine.decode_steps`) relies on
-    that to collapse thousands of per-step calls into one;
-    ``tests/test_cost_model_arrays.py`` pins it.
+    tp, gpu)``.  The serving engine's decode price tables
+    (:meth:`repro.serving.engine.ServingEngine._decode_prices`) rely on
+    that to price a window of contexts in one call;
+    ``tests/test_cost_model_arrays.py`` pins it.  An empty ``kv_lens``
+    prices nothing; a non-integral context raises ``ValueError`` rather
+    than being truncated.
     """
+    kv = np.asarray(kv_lens)
+    if kv.size == 0:
+        return np.empty(0, dtype=np.float64)
+    if kv.dtype.kind != "i":
+        with np.errstate(invalid="ignore"):
+            as_int = kv.astype(np.int64)
+        if not np.array_equal(as_int, kv):
+            raise ValueError(f"kv_lens must be integral context lengths: {kv_lens!r}")
+        kv = as_int
     return tp_step_latency(
-        method, model, batch, 1, np.asarray(kv_lens, dtype=np.int64),
+        method, model, batch, 1, kv.astype(np.int64, copy=False),
         prefill=False, tp=tp, gpu=gpu,
     )
 

@@ -15,18 +15,26 @@ field at any time — no mirror to drift out of sync.  Unbinding copies
 the column values back into plain per-record storage, which is how
 records survive leaving an engine (handoff, eviction, terminal states
 read later by metrics).
+
+:class:`RunningBatch` is the engine's running batch: the request ids in
+admission order, plus each member's column slot and allocator slot as
+int64 arrays, so a step gathers the batch's columns without walking the
+records.
 """
 
 from __future__ import annotations
 
+from typing import Dict, Iterator, List, Optional, Tuple
+
 import numpy as np
 
+from repro.serving.allocator import PagedKVAllocator
 from repro.serving.request import (
     _STATUS_CODES,
     RequestRecord,
 )
 
-__all__ = ["RequestColumns"]
+__all__ = ["RequestColumns", "RunningBatch"]
 
 _INIT_SLOTS = 64
 
@@ -131,3 +139,71 @@ class RequestColumns:
         self.first_flag[slot] = False
         self.kv_bits[slot] = np.nan
         self._free.append(slot)
+
+
+class RunningBatch:
+    """Running request ids in admission order, with their slots.
+
+    Reads behave as on a list of ids (``len``, ``in``, iteration,
+    ``reversed``, ``list(...)``); :attr:`ids` is that list.
+    :meth:`append`, :meth:`remove` and :meth:`clear` also keep each
+    member's :class:`RequestColumns` slot and its
+    :meth:`PagedKVAllocator.slot_of` slot, read at append.  Both are
+    stable while the request runs: a record stays bound from submit to
+    departure, every path appends only after the allocation exists, and
+    every path that releases one removes the request within the same
+    engine call.  :meth:`slots` returns them as two int64 arrays, built
+    anew (never modified in place) on the first read after a mutation,
+    so a caller may keep the pair across later mutations.
+    """
+
+    def __init__(
+        self, records: Dict[int, RequestRecord], allocator: PagedKVAllocator
+    ):
+        self.ids: List[int] = []
+        self._records = records
+        self._allocator = allocator
+        self._col_slots: List[int] = []
+        self._alloc_slots: List[int] = []
+        self._arrays: Optional[Tuple[np.ndarray, np.ndarray]] = None
+
+    def append(self, request_id: int) -> None:
+        self.ids.append(request_id)
+        self._col_slots.append(self._records[request_id]._slot)
+        self._alloc_slots.append(self._allocator.slot_of(request_id))
+        self._arrays = None
+
+    def remove(self, request_id: int) -> None:
+        i = self.ids.index(request_id)
+        del self.ids[i], self._col_slots[i], self._alloc_slots[i]
+        self._arrays = None
+
+    def clear(self) -> None:
+        self.ids.clear()
+        self._col_slots.clear()
+        self._alloc_slots.clear()
+        self._arrays = None
+
+    def slots(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(column slots, allocator slots)`` of the members, in order."""
+        if self._arrays is None:
+            self._arrays = (
+                np.array(self._col_slots, dtype=np.int64),
+                np.array(self._alloc_slots, dtype=np.int64),
+            )
+        return self._arrays
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self.ids)
+
+    def __reversed__(self) -> Iterator[int]:
+        return reversed(self.ids)
+
+    def __contains__(self, request_id: object) -> bool:
+        return request_id in self.ids
+
+    def __repr__(self) -> str:
+        return f"RunningBatch({self.ids!r})"

@@ -65,7 +65,7 @@ from repro.perf.tp import (
     tp_step_latency,
 )
 from repro.serving.allocator import PagedKVAllocator
-from repro.serving.columns import RequestColumns
+from repro.serving.columns import RequestColumns, RunningBatch
 from repro.serving.metrics import SLO, ServingMetrics, summarize
 from repro.serving.request import (
     _STATUS_CODES,
@@ -207,21 +207,28 @@ class ServingEngine:
         #: injection models stragglers this way).  1.0 = healthy; it is a
         #: hardware condition, not run state, so :meth:`start` keeps it.
         self.time_scale = 1.0
-        # Pure-function caches (see _step_latency); they key only on
+        # Pure-function caches (see the latency helpers); they key only on
         # quantities the cost model sees, so they survive start() resets.
         self._latency_cache: Dict[tuple, float] = {}
+        self._decode_tables: Dict[Tuple[float, int], Tuple[int, np.ndarray]] = {}
+        self._table_cells = 0
         self._method_cache: Dict[float, MethodSpec] = {}
         self.start()
 
     # -- latency helpers ------------------------------------------------------
     # ``tp_step_latency`` is a pure function of (method, model, shape, tp,
     # gpu) and the engine's model/tp/gpu never change, so per-engine
-    # memoization on (kv_bits, shape) returns the *same float object* the
-    # cost model produced — bit-identical by construction.  Serving steps
-    # revisit the same (batch, context) points constantly (the measured
-    # hit rate on the cluster scenario is ~60%), which makes this the
-    # single largest win on the simulator's hot path.
+    # memoization returns the floats the cost model produced —
+    # bit-identical by construction.  Prefill prices are a dict keyed by
+    # (kv_bits, shape).  Decode prices are one table per (batch mean KV
+    # width, batch size) over a window of contexts, because those keys
+    # recur while exact contexts do not: on ``chat_fleet`` (part 0) 14,798
+    # decode steps share 487 keys, and a dict of scalar decode and
+    # prefill prices hit only 41% of its 26,798 lookups.  Dict entries and
+    # table cells share one budget; once it is spent, all are dropped.
     _LATENCY_CACHE_MAX = 200_000
+    #: Decode tables widen to multiples of this many contexts.
+    _TABLE_ALIGN = 64
 
     def _method_at(self, kv_bits: Optional[float]) -> MethodSpec:
         """The cost-model spec at a (possibly browned-out) KV width."""
@@ -233,21 +240,14 @@ class ServingEngine:
             self._method_cache[kv_bits] = spec
         return spec
 
-    def _step_latency(
-        self, kv_bits: Optional[float], batch: int, q_len: int, kv_len: int,
-        prefill: bool,
-    ) -> float:
-        key = (kv_bits, batch, q_len, kv_len, prefill)
-        cached = self._latency_cache.get(key)
-        if cached is None:
-            if len(self._latency_cache) >= self._LATENCY_CACHE_MAX:
-                self._latency_cache.clear()
-            cached = tp_step_latency(
-                self._method_at(kv_bits), self.model, batch, q_len, kv_len,
-                prefill=prefill, tp=self.config.tp, gpu=self.gpu,
-            )
-            self._latency_cache[key] = cached
-        return cached
+    def _make_room(self) -> bool:
+        """Drop every memoized price if the budget is spent; True if so."""
+        if len(self._latency_cache) + self._table_cells < self._LATENCY_CACHE_MAX:
+            return False
+        self._latency_cache.clear()
+        self._decode_tables.clear()
+        self._table_cells = 0
+        return True
 
     def _prefill_latency(
         self,
@@ -255,15 +255,61 @@ class ServingEngine:
         kv_len: Optional[int] = None,
         kv_bits: Optional[float] = None,
     ) -> float:
-        return self._step_latency(
-            kv_bits, 1, n_tokens,
-            kv_len if kv_len is not None else n_tokens, True,
-        )
+        kv_len = kv_len if kv_len is not None else n_tokens
+        key = (kv_bits, n_tokens, kv_len)
+        cached = self._latency_cache.get(key)
+        if cached is None:
+            self._make_room()
+            cached = tp_step_latency(
+                self._method_at(kv_bits), self.model, 1, n_tokens, kv_len,
+                prefill=True, tp=self.config.tp, gpu=self.gpu,
+            )
+            self._latency_cache[key] = cached
+        return cached
 
-    def _decode_latency(
-        self, batch: int, mean_ctx: float, kv_bits: Optional[float] = None
-    ) -> float:
-        return self._step_latency(kv_bits, batch, 1, max(int(mean_ctx), 1), False)
+    def _decode_prices(
+        self, kv_bits: Optional[float], batch: int, kv_lo: int, kv_hi: int
+    ) -> Tuple[int, np.ndarray]:
+        """``(base, prices)``: ``prices[kv - base]`` is the latency of one
+        decode step of ``batch`` requests at context ``kv``, for every
+        ``kv`` in ``[kv_lo, kv_hi]``.
+
+        A lookup outside the (width, batch) table's window widens it to
+        ``_TABLE_ALIGN``-aligned bounds with one
+        :func:`~repro.perf.tp.decode_step_latency_batch` call per missing
+        range, so no context is priced twice while the budget holds.
+        Each lane is the scalar ``tp_step_latency`` float
+        (``tests/test_cost_model_arrays.py``).
+        """
+        key = (self.method.kv_bits if kv_bits is None else kv_bits, batch)
+        table = self._decode_tables.get(key)
+        if table is not None:
+            base, prices = table
+            end = base + len(prices)
+            if base <= kv_lo and kv_hi < end:
+                return table
+        align = self._TABLE_ALIGN
+        lo = max(kv_lo - kv_lo % align, 1)
+        hi = kv_hi - kv_hi % align + align
+        if self._make_room() or table is None:
+            base, end, prices = lo, lo, np.empty(0)
+        lo, hi = min(lo, base), max(hi, end)
+        spec = self._method_at(kv_bits)
+
+        def price(first: int, stop: int) -> np.ndarray:
+            return decode_step_latency_batch(
+                spec, self.model, batch, np.arange(first, stop, dtype=np.int64),
+                tp=self.config.tp, gpu=self.gpu,
+            )
+
+        parts = [prices]
+        if lo < base:
+            parts.insert(0, price(lo, base))
+        if end < hi:
+            parts.append(price(end, hi))
+        self._table_cells += (base - lo) + (hi - end)
+        table = self._decode_tables[key] = (lo, np.concatenate(parts))
+        return table
 
     def _bytes_scale(self, record: RequestRecord) -> float:
         """Allocator scale for a record admitted below full precision.
@@ -320,7 +366,9 @@ class ServingEngine:
         )
         self.records: Dict[int, RequestRecord] = {}
         self.waiting: Deque[int] = deque()
-        self.running: List[int] = []  # admission order (preemption pops the tail)
+        #: Running request ids in admission order (preemption takes the
+        #: tail), with the column and allocator slots the steps gather.
+        self.running = RunningBatch(self.records, self.allocator)
         #: Prefill-complete requests whose KV stays pinned here while the
         #: cluster migrates them to a decode replica (prefill_only mode).
         self.migrating: Dict[int, RequestRecord] = {}
@@ -494,7 +542,7 @@ class ServingEngine:
         transition is a *cluster* event (the transfer arriving), not an
         engine step, so an engine holding only pinned handoffs is idle.
         """
-        return bool(self.running or self.waiting)
+        return bool(self.running.ids or self.waiting)
 
     # -- disaggregated handoff API (prefill_only mode; see repro.migrate) -----
     def take_handoffs(self) -> List[RequestRecord]:
@@ -610,7 +658,7 @@ class ServingEngine:
         1e-6 s); only a cluster event (the handoff resolving) frees it,
         so the fleet driver idle-jumps this replica instead of spinning.
         """
-        if self.running or not self.migrating or not self.waiting:
+        if self.running.ids or not self.migrating or not self.waiting:
             return False
         rid = self.waiting[0]
         rec = self.records[rid]
@@ -744,6 +792,9 @@ class ServingEngine:
         """
         self.iterations += 1
         records, waiting, running = self.records, self.waiting, self.running
+        # Reads go through the live id list; mutations through ``running``,
+        # which keeps the slot arrays.
+        run_ids = running.ids
 
         # The warm prefix cache yields capacity back exactly when the
         # admission gate starts pushing back on the same signal.
@@ -759,7 +810,7 @@ class ServingEngine:
         # remainder, enter PREFILLING.  Requests that provably cannot
         # meet their TTFT deadline are shed here, before any capacity is
         # reserved for them.
-        while waiting and len(running) < self.config.max_batch:
+        while waiting and len(run_ids) < self.config.max_batch:
             rid = waiting[0]
             rec = records[rid]
             if self._shed_doomed(rid):
@@ -790,22 +841,15 @@ class ServingEngine:
                 rec.status = RequestStatus.RUNNING
             running.append(rid)
             self._mark("admit", f"r{rid}")
-        self.peak_running = max(self.peak_running, len(running))
+        self.peak_running = max(self.peak_running, len(run_ids))
 
         # From here on ``running`` membership is stable until the
-        # prefill-handoff move below, so one slot gather serves both the
-        # prefill and decode status scans (statuses change in between —
-        # the *codes* are re-gathered per scan, the slots are not).
+        # prefill-handoff move below, so one pair of slot arrays serves
+        # both the prefill and decode status scans (statuses change in
+        # between — the *codes* are re-gathered per scan, the slots are
+        # not) and the decode commit.
         cols = self.columns
-        run_slots = (
-            np.fromiter(
-                (records[rid]._slot for rid in running),
-                dtype=np.int64,
-                count=len(running),
-            )
-            if running
-            else None
-        )
+        run_slots, run_alloc = running.slots() if run_ids else (None, None)
 
         # Prefill work.  Unchunked: every PREFILLING request finishes
         # its whole prompt this iteration (serialized).  Chunked: only
@@ -813,7 +857,7 @@ class ServingEngine:
         step_time = 0.0
         prefilling = (
             [
-                running[i]
+                run_ids[i]
                 for i in np.nonzero(cols.status[run_slots] == _PREFILLING_CODE)[0]
             ]
             if run_slots is not None
@@ -848,7 +892,7 @@ class ServingEngine:
         # migration instead of decoding here.  Local-decode fallbacks are
         # the exception — their migration budget already ran out.
         if self.config.prefill_only:
-            for rid in running:
+            for rid in run_ids:
                 rec = records[rid]
                 if rec.status is RequestStatus.RUNNING and not rec.local_decode:
                     rec.status = RequestStatus.MIGRATING
@@ -876,10 +920,13 @@ class ServingEngine:
                 mean_bits = None
             else:
                 mean_bits = float(np.add.accumulate(bits_col)[-1]) / n_dec
-            step_time += self._decode_latency(n_dec, mean_ctx, mean_bits)
+            kv = max(int(mean_ctx), 1)
+            base, prices = self._decode_prices(mean_bits, n_dec, kv, kv)
+            step_time += prices.item(kv - base)
         # Resolve decode positions to ids before the handoff below removes
-        # MIGRATING ids from ``running`` and shifts the positions.
-        decoding = [running[i] for i in dec_pos] if n_dec else []
+        # MIGRATING ids from ``running`` and shifts the positions (the slot
+        # arrays already in hand stay as they are).
+        decoding = [run_ids[i] for i in dec_pos.tolist()] if n_dec else []
         if step_time == 0.0 and not n_dec:
             # Nothing processable (all prefilling under chunking with
             # zero-size chunks cannot happen; guard anyway).
@@ -892,7 +939,7 @@ class ServingEngine:
         # ``migrating``; the cluster collects them via take_handoffs().
         if self.config.prefill_only:
             for rid in [
-                r for r in running if records[r].status is RequestStatus.MIGRATING
+                r for r in run_ids if records[r].status is RequestStatus.MIGRATING
             ]:
                 rec = records[rid]
                 rec.prefill_done_at = self.clock
@@ -911,12 +958,7 @@ class ServingEngine:
         # falls back to the scalar loop below, which carries the
         # preemption policy.
         if n_dec:
-            alloc_index = self.allocator._index
-            alloc_slots = np.fromiter(
-                (alloc_index.get(rid, -1) for rid in decoding),
-                dtype=np.int64,
-                count=n_dec,
-            )
+            alloc_slots = run_alloc[dec_pos]
             if alloc_slots.min() >= 0:
                 gen_new = dec_gen + 1
                 done = gen_new >= cols.gen_len[dec_slots]
@@ -995,7 +1037,7 @@ class ServingEngine:
                 # request itself when nothing was admitted after it.  A
                 # request never preempts an older one, so two requests
                 # that cannot fit together cannot evict each other forever.
-                victim = next(v for v in reversed(running) if v not in finished)
+                victim = next(v for v in reversed(run_ids) if v not in finished)
                 self._release_request(victim)
                 records[victim].reset_for_requeue()
                 running.remove(victim)
@@ -1026,10 +1068,10 @@ class ServingEngine:
         overload controllers, no prefix pool, and every request past its
         first token (so no lifecycle transitions, hence no trace marks).
         Under those conditions each step is fully determined by the
-        batch's context trajectory, so the per-step cost-model calls
-        collapse into one vectorized
-        :func:`~repro.perf.tp.decode_step_latency_batch` evaluation and
-        the per-step allocator growth into one :meth:`bulk_grow` — with
+        batch's context trajectory, so the per-step prices are one
+        gather from the batch's decode price table (see
+        :meth:`_decode_prices`) and the per-step allocator growth is one
+        :meth:`bulk_grow` — with
         clock, generated counts, and block state bit-identical to calling
         :meth:`step` that many times (the clock is folded left-to-right
         via ``np.add.accumulate``, the same float additions ``step``
@@ -1044,7 +1086,7 @@ class ServingEngine:
         """
         cfg = self.config
         if (
-            not self.running
+            not self.running.ids
             or self.waiting
             or self.prefix_pool is not None
             or self.brownout is not None
@@ -1052,12 +1094,9 @@ class ServingEngine:
             or cfg.shed_high_water is not None
         ):
             return 0
-        records, running = self.records, self.running
         cols = self.columns
-        n = len(running)
-        run_slots = np.fromiter(
-            (records[rid]._slot for rid in running), dtype=np.int64, count=n
-        )
+        n = len(self.running.ids)
+        run_slots, alloc_slots = self.running.slots()
         if not (
             (cols.status[run_slots] == _RUNNING_CODE).all()
             and cols.first_flag[run_slots].all()
@@ -1066,17 +1105,12 @@ class ServingEngine:
         gen = cols.generated[run_slots]
         # Stop one short of the earliest finish: the finishing step has
         # transitions (marks, releases) the scalar loop must own.  The
-        # whole window's latencies are computed even when ``t_limit``
-        # cuts the stretch short — the batch cost model's price is
-        # per-call overhead, not array length, so one oversized call
-        # beats chunked re-entry from the caller's advance loop.
+        # whole window is priced even when ``t_limit`` cuts the stretch
+        # short: the prices land in the batch's table, where the next
+        # call over the same batch reads them.
         k_cap = int((cols.gen_len[run_slots] - gen).min()) - 1
         if k_cap < 1:
             return 0
-        alloc_index = self.allocator._index
-        alloc_slots = np.fromiter(
-            (alloc_index.get(rid, -1) for rid in running), dtype=np.int64, count=n
-        )
         if alloc_slots.min() < 0:
             return 0
 
@@ -1088,16 +1122,16 @@ class ServingEngine:
         means = ctx_sums / n
         bits_col = cols.kv_bits[run_slots]
         if np.isnan(bits_col).any():
-            spec = self.method
+            mean_bits = None
         else:
-            spec = self._method_at(float(np.add.accumulate(bits_col)[-1]) / n)
+            mean_bits = float(np.add.accumulate(bits_col)[-1]) / n
+        # ``step``'s context, ``max(int(mean_ctx), 1)``, per step; the
+        # means rise, so the window's ends bound it.
         kv_lens = np.maximum(np.trunc(means), 1.0).astype(np.int64)
-        step_times = (
-            decode_step_latency_batch(
-                spec, self.model, n, kv_lens, tp=self.config.tp, gpu=self.gpu
-            )
-            * self.time_scale
+        base, prices = self._decode_prices(
+            mean_bits, n, int(kv_lens[0]), int(kv_lens[-1])
         )
+        step_times = prices[kv_lens - base] * self.time_scale
         clocks = np.add.accumulate(np.concatenate(([self.clock], step_times)))
         if t_limit is None:
             k = k_cap

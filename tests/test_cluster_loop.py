@@ -41,7 +41,7 @@ from repro.perf.attention_costs import METHODS
 from repro.perf.e2e import ModelGeometry
 from repro.prefix import PrefixCacheConfig
 from repro.recover import FleetOp, RecoverConfig
-from repro.serving import EngineConfig, poisson_workload
+from repro.serving import EngineConfig, ServingEngine, poisson_workload
 from repro.serving.workload import zipf_shared_workload
 from repro.sim import ListTraceSink, trace_digest
 
@@ -169,6 +169,23 @@ EXERCISES = {
 }
 
 
+#: Engine calls outside ``step`` that move requests in or out of a running
+#: batch, per case: TTFT timeouts cancel, crashes evict, warm restarts
+#: restore, and disaggregated fleets hand off or fall back to local decode.
+BATCH_MOVES = {
+    "unified_autoscale_breaker": {"cancel", "evict_unfinished"},
+    "unified_recover_ops": {"cancel", "evict_unfinished", "restore_record"},
+    "unified_prefix_affinity": {"cancel", "evict_unfinished"},
+    "disagg_pool_autoscale": {
+        "cancel", "evict_unfinished", "release_migrated", "resume_local_decode",
+    },
+    "disagg_recover_ops": {
+        "cancel", "evict_unfinished", "restore_record", "release_migrated",
+        "resume_local_decode",
+    },
+}
+
+
 def run_case(name):
     config, workload = CASES[name]()
     sink = ListTraceSink()
@@ -211,6 +228,22 @@ def test_case_digests_are_pinned(name):
     }
     assert scheduled <= SCHEDULED
     assert (trace_digest(records), metrics_digest) == DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_running_batch_slots_never_drift(name, running_slots_checked, monkeypatch):
+    moves = set()
+    for method in set().union(*BATCH_MOVES.values()):
+        real = getattr(ServingEngine, method)
+
+        def recording(self, *args, _real=real, _method=method, **kwargs):
+            moves.add(_method)
+            return _real(self, *args, **kwargs)
+
+        monkeypatch.setattr(ServingEngine, method, recording)
+    run_case(name)
+    assert BATCH_MOVES[name] <= moves
+    assert {"step", "decode_steps"} <= set(running_slots_checked)
 
 
 def regenerate() -> None:  # pragma: no cover - maintenance entry point

@@ -2,16 +2,21 @@
 
 ``decode_step_latency_batch`` is ``tp_step_latency`` called with an array
 ``kv_len``; nothing re-derives the formulas.  These tests pin what the
-serving engine's bulk decode relies on: every lane of the array call is
-bit-identical to the scalar call, and a bulk-advanced engine is
-indistinguishable from one that takes every step on its own.  Within a
-step, growing the decode batch with one allocator commit ends in the
-same state as the scalar per-request loop.
+serving engine's decode pricing relies on: every lane of the array call
+is bit-identical to the scalar call, every lane of an engine's decode
+price tables is the scalar call's float, decode is priced only through
+those tables, and a bulk-advanced engine is indistinguishable from one
+that takes every step on its own.  Within a step, growing the decode
+batch with one allocator commit ends in the same state as the scalar
+per-request loop.
 """
+
+from collections import Counter
 
 import numpy as np
 import pytest
 
+import repro.serving.engine as engine_module
 from repro.overload import BrownoutConfig
 from repro.perf.attention_costs import METHODS, AttentionGeometry
 from repro.perf.e2e import ModelGeometry
@@ -83,9 +88,109 @@ class TestArrayGeometryValidation:
         with pytest.raises(ValueError, match="positive"):
             decode_step_latency_batch(METHODS["fp16"], MODELS["7b"], 2, [4, 0, 9])
 
+    @pytest.mark.parametrize("empty", [[], np.array([], dtype=np.int64)], ids=["list", "array"])
+    def test_batch_call_prices_empty_input(self, empty):
+        lanes = decode_step_latency_batch(METHODS["fp16"], MODELS["7b"], 2, empty)
+        assert lanes.dtype == np.float64 and lanes.shape == (0,)
+
+    @pytest.mark.parametrize("kv_lens", [[1.5, 2.5], [4.0, np.nan], np.array([7.25])])
+    def test_batch_call_rejects_non_integral_context(self, kv_lens):
+        with pytest.raises(ValueError, match="integral"):
+            decode_step_latency_batch(METHODS["fp16"], MODELS["7b"], 2, kv_lens)
+
+    def test_batch_call_accepts_integral_floats(self):
+        spec, geom = METHODS["turbo4"], MODELS["7b"]
+        lanes = decode_step_latency_batch(spec, geom, 2, [3.0, 64.0])
+        assert lanes.tolist() == decode_step_latency_batch(spec, geom, 2, [3, 64]).tolist()
+
     def test_negative_scalar_still_raises(self):
         with pytest.raises(ValueError, match="positive"):
             AttentionGeometry(batch=1, n_heads=8, n_kv_heads=2, head_dim=64, q_len=1, kv_len=-1)
+
+
+#: The mean width of a brownout batch at 2.3, 3.3 and 4.3 bits, folded
+#: left to right as ``ServingEngine.step`` folds it.
+BROWNOUT_WIDTH = float(np.add.accumulate(np.array([2.3, 3.3, 4.3]))[-1]) / 3
+
+
+class TestDecodePriceTable:
+    """Every lane of ``ServingEngine``'s decode price tables is the scalar
+    cost model's float.  ``step`` and ``decode_steps`` both read the
+    tables, so ``TestBulkDecodeMatchesScalarSteps`` alone would compare
+    them with themselves."""
+
+    #: Per width: ``(kv_lo, kv_hi)`` lookups in order, each with the
+    #: window ``[base, end)`` it leaves.  The method's width opens a
+    #: window mid-range, extends it right across 128, then left down to
+    #: context 1; the brownout width starts one at context 1 and extends
+    #: it across 64.
+    LOOKUPS = {
+        "method": (((70, 70), (64, 128)), ((120, 140), (64, 192)), ((5, 9), (1, 192))),
+        "brownout": (((1, 1), (1, 64)), ((60, 70), (1, 128))),
+    }
+
+    @pytest.mark.parametrize("gpu", [A100_80GB, H100_80GB], ids=lambda g: g.name)
+    @pytest.mark.parametrize("tp", [1, 2, 4])
+    @pytest.mark.parametrize("method", list(METHODS))
+    @pytest.mark.parametrize("model", list(MODELS))
+    def test_lanes_equal_scalar_calls(self, model, method, tp, gpu):
+        geom, spec = MODELS[model], METHODS[method]
+        engine = ServingEngine(geom, spec, EngineConfig(tp=tp), gpu=gpu)
+        widths = {"method": spec.kv_bits, "brownout": BROWNOUT_WIDTH}
+        for batch in (1, 7, 64):
+            for label, lookups in self.LOOKUPS.items():
+                width = widths[label]
+                scalar = {
+                    kv: tp_step_latency(
+                        spec.with_bits(width), geom, batch, 1, kv,
+                        prefill=False, tp=tp, gpu=gpu,
+                    )
+                    for kv in range(1, lookups[-1][1][1])
+                }
+                for (kv_lo, kv_hi), window in lookups:
+                    base, prices = engine._decode_prices(width, batch, kv_lo, kv_hi)
+                    assert (base, base + len(prices)) == window
+                    assert prices.dtype == np.float64
+                    assert [prices[kv - base] for kv in range(kv_lo, kv_hi + 1)] == [
+                        scalar[kv] for kv in range(kv_lo, kv_hi + 1)
+                    ]
+                assert prices.tolist() == [scalar[kv] for kv in range(*window)]
+            # An unassigned width prices at the method's own.
+            assert engine._decode_prices(None, batch, 100, 100)[1] is (
+                engine._decode_prices(spec.kv_bits, batch, 100, 100)[1]
+            )
+
+
+class TestDecodePricing:
+    def test_decode_is_priced_once_per_lane_and_only_by_the_tables(self, monkeypatch):
+        """One replica's share of ``chat_fleet``: the scalar cost model
+        prices prefill only, and no (width, batch, context) decode lane
+        is priced twice."""
+        prefill_flags = []
+        lanes = Counter()
+        real_scalar = engine_module.tp_step_latency
+        real_batch = engine_module.decode_step_latency_batch
+
+        def scalar(*args, prefill, **kwargs):
+            prefill_flags.append(prefill)
+            return real_scalar(*args, prefill=prefill, **kwargs)
+
+        def batch_call(method, model, batch, kv_lens, **kwargs):
+            lanes.update((method.kv_bits, batch, int(kv)) for kv in kv_lens)
+            return real_batch(method, model, batch, kv_lens, **kwargs)
+
+        monkeypatch.setattr(engine_module, "tp_step_latency", scalar)
+        monkeypatch.setattr(engine_module, "decode_step_latency_batch", batch_call)
+        requests = poisson_workload(
+            1000, 11.0, (512, 1536), (64, 256), rng=np.random.default_rng(0),
+            n_sessions=64,
+        )
+        engine = ServingEngine(MODELS["7b"], METHODS["turbo_mixed"])
+        metrics = engine.run(requests)
+
+        assert metrics.completed == 1000
+        assert prefill_flags and all(prefill_flags)
+        assert lanes and max(lanes.values()) == 1
 
 
 def _engine_run(method, tp):

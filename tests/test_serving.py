@@ -12,6 +12,7 @@ from repro.serving import (
     ServingEngine,
     poisson_workload,
 )
+from repro.serving.columns import RequestColumns, RunningBatch
 from repro.serving.request import RequestRecord, RequestStatus
 from repro.serving.workload import closed_batch_workload
 
@@ -332,6 +333,50 @@ class TestPreemption:
         assert rec.status is RequestStatus.FINISHED
         assert rec.generated == 8 and rec.prefilled == 15
         assert metrics.output_tokens == 24
+
+
+@pytest.mark.usefixtures("running_slots_checked")
+class TestPreemptionKeepsRunningSlots(TestPreemption):
+    """``TestPreemption``'s tight budgets again, with the running batch's
+    slot arrays checked against a fresh gather after every engine step."""
+
+
+class TestRunningBatch:
+    def test_reads_like_a_list(self, model):
+        columns = RequestColumns()
+        allocator = PagedKVAllocator(model, METHODS["turbo4"], budget_bytes=2**34)
+        records = {}
+        for rid in (5, 3, 9, 1):
+            records[rid] = RequestRecord(Request(rid, 0.0, 16, 4))
+            columns.bind(records[rid])
+        for rid in (1, 9, 3, 5):  # allocator slots in another order
+            allocator.grow(rid, 16)
+        batch, mirror = RunningBatch(records, allocator), []
+        for op, rid in (
+            ("append", 5), ("append", 3), ("append", 9), ("remove", 3),
+            ("append", 1), ("append", 3), ("remove", 5),
+        ):
+            held = batch.slots()
+            before = [a.copy() for a in held]
+            getattr(batch, op)(rid)
+            getattr(mirror, op)(rid)
+            # Arrays handed out earlier are snapshots, never modified.
+            assert all(np.array_equal(a, b) for a, b in zip(held, before))
+            assert len(batch) == len(mirror) and bool(batch) == bool(mirror)
+            assert list(batch) == mirror and batch.ids == mirror
+            assert list(reversed(batch)) == mirror[::-1]
+            assert [r in batch for r in (1, 3, 5, 9, 7)] == [
+                r in mirror for r in (1, 3, 5, 9, 7)
+            ]
+            col_slots, alloc_slots = batch.slots()
+            assert col_slots.dtype == alloc_slots.dtype == np.int64
+            assert col_slots.tolist() == [records[r]._slot for r in mirror]
+            assert alloc_slots.tolist() == [allocator.slot_of(r) for r in mirror]
+            # Rebuilt only after a mutation.
+            assert batch.slots() is batch.slots()
+        batch.clear()
+        assert len(batch) == 0 and not batch and list(batch) == []
+        assert [a.size for a in batch.slots()] == [0, 0]
 
 
 class TestChunkedPrefill:
