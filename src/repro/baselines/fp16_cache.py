@@ -1,45 +1,15 @@
 """FP16 FlashAttention baseline: exact attention, uncompressed cache.
 
 This is the paper's "FlashAttention / FP16" row — no accuracy change, full
-16-bit KV memory footprint.  The cache simply concatenates FP16-rounded
-key/value vectors.
+16-bit KV memory footprint.  The cache is an FP16 window that never
+flushes, read as is.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from repro.baselines.base import AttentionBackend, WindowedState
 
-import numpy as np
-
-from repro.baselines.base import AttentionBackend, DecodeState
-from repro.fp.formats import FP16, quantize_to_format
-
-__all__ = ["FP16State", "FP16Attention"]
-
-
-class FP16State(DecodeState):
-    """Dense FP16 key/value arrays of shape ``(kv_heads, n, d)``."""
-
-    def __init__(self, k: np.ndarray, v: np.ndarray):
-        self.k = quantize_to_format(k, FP16)
-        self.v = quantize_to_format(v, FP16)
-
-    def append(self, k_t: np.ndarray, v_t: np.ndarray) -> None:
-        k_t = quantize_to_format(k_t, FP16).reshape(self.k.shape[0], 1, -1)
-        v_t = quantize_to_format(v_t, FP16).reshape(self.v.shape[0], 1, -1)
-        self.k = np.concatenate([self.k, k_t], axis=1)
-        self.v = np.concatenate([self.v, v_t], axis=1)
-
-    @property
-    def seq_len(self) -> int:
-        return self.k.shape[1]
-
-    def _logical_elements(self) -> int:
-        return 2 * int(np.prod(self.k.shape))  # k and v have equal shapes
-
-    @property
-    def storage_bits(self) -> int:
-        return self._logical_elements() * 16 // 2 * 2  # 16 bits per element
+__all__ = ["FP16Attention"]
 
 
 class FP16Attention(AttentionBackend):
@@ -47,27 +17,5 @@ class FP16Attention(AttentionBackend):
 
     name = "fp16"
 
-    def prefill(
-        self,
-        q: np.ndarray,
-        k: np.ndarray,
-        v: np.ndarray,
-        causal: bool = True,
-        scale: Optional[float] = None,
-    ) -> Tuple[np.ndarray, FP16State]:
-        state = FP16State(k, v)
-        out = self._flash_over(q, state.k, state.v, causal=causal, scale=scale)
-        return out, state
-
-    def decode_step(
-        self,
-        q_t: np.ndarray,
-        k_t: np.ndarray,
-        v_t: np.ndarray,
-        state: FP16State,
-        scale: Optional[float] = None,
-    ) -> np.ndarray:
-        state.append(k_t, v_t)
-        q = np.asarray(q_t, dtype=np.float64)[:, None, :]
-        out = self._flash_over(q, state.k, state.v, causal=False, scale=scale)
-        return out[:, 0, :]
+    def _new_state(self, n_heads: int, head_dim: int) -> WindowedState:
+        return WindowedState(n_heads, head_dim)

@@ -15,79 +15,37 @@ other methods.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from repro.baselines.base import AttentionBackend, DecodeState, gqa_expand
+from repro.baselines.base import AttentionBackend, WindowedState, gqa_expand
 from repro.fp.fp8 import FP8_E4M3, fp8_tile_quantize
 from repro.attention.masks import causal_mask_block
 from repro.attention.online_softmax import OnlineSoftmaxState
 
-__all__ = ["FP8State", "FP8Attention"]
+__all__ = ["FP8Attention"]
 
 _TILE = 64
 
 
-class FP8State(DecodeState):
-    """FP8 values + per-(head, tile) scales, tiled along the sequence."""
+class _FP8Tile(NamedTuple):
+    """One stored tile: FP8 values (kept scale-applied) + per-head scales."""
 
-    def __init__(self, n_heads: int, head_dim: int, tile: int = _TILE):
-        self.n_heads = n_heads
-        self.head_dim = head_dim
-        self.tile = tile
-        self.k_vals = np.zeros((n_heads, 0, head_dim))
-        self.v_vals = np.zeros((n_heads, 0, head_dim))
-        self.k_scales: list = []
-        self.v_scales: list = []
-        self._pending_k = np.zeros((n_heads, 0, head_dim))
-        self._pending_v = np.zeros((n_heads, 0, head_dim))
+    values: np.ndarray
+    scale: np.ndarray
 
-    def _flush(self, force: bool = False) -> None:
-        while self._pending_k.shape[1] >= self.tile or (
-            force and self._pending_k.shape[1] > 0
-        ):
-            n = min(self.tile, self._pending_k.shape[1])
-            chunk_k, self._pending_k = (
-                self._pending_k[:, :n, :],
-                self._pending_k[:, n:, :],
-            )
-            chunk_v, self._pending_v = (
-                self._pending_v[:, :n, :],
-                self._pending_v[:, n:, :],
-            )
-            k8, ks = fp8_tile_quantize(chunk_k, FP8_E4M3)
-            v8, vs = fp8_tile_quantize(chunk_v, FP8_E4M3)
-            self.k_vals = np.concatenate([self.k_vals, k8 * ks], axis=1)
-            self.v_vals = np.concatenate([self.v_vals, v8 * vs], axis=1)
-            self.k_scales.append(ks)
-            self.v_scales.append(vs)
-
-    def ingest(self, k: np.ndarray, v: np.ndarray) -> None:
-        self._pending_k = np.concatenate([self._pending_k, k], axis=1)
-        self._pending_v = np.concatenate([self._pending_v, v], axis=1)
-        self._flush()
-
-    def dequantized(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Stored values (already scale-applied) + exact pending tail."""
-        return (
-            np.concatenate([self.k_vals, self._pending_k], axis=1),
-            np.concatenate([self.v_vals, self._pending_v], axis=1),
-        )
-
-    @property
-    def seq_len(self) -> int:
-        return self.k_vals.shape[1] + self._pending_k.shape[1]
-
-    def _logical_elements(self) -> int:
-        return 2 * self.seq_len * self.n_heads * self.head_dim
+    def dequantize(self) -> np.ndarray:
+        return self.values
 
     @property
     def storage_bits(self) -> int:
-        stored = 2 * self.k_vals.shape[1] * self.n_heads * self.head_dim * 8
-        scales = (len(self.k_scales) + len(self.v_scales)) * self.n_heads * 16
-        pending = 2 * self._pending_k.shape[1] * self.n_heads * self.head_dim * 16
-        return stored + scales + pending
+        return self.values.size * 8 + self.scale.size * 16
+
+
+def _fp8_tile(chunk: np.ndarray) -> _FP8Tile:
+    vals, scale = fp8_tile_quantize(chunk, FP8_E4M3)
+    return _FP8Tile(vals * scale, scale)
 
 
 class FP8Attention(AttentionBackend):
@@ -98,12 +56,21 @@ class FP8Attention(AttentionBackend):
     def __init__(self, tile: int = _TILE):
         self.tile = tile
 
-    def _flash_fp8(
+    def _new_state(self, n_heads: int, head_dim: int) -> WindowedState:
+        """Whole tiles are stored as FP8; the tail waits, unrounded."""
+        return WindowedState(
+            n_heads, head_dim, self._encode, self.tile, self.tile, round_window=False
+        )
+
+    @staticmethod
+    def _encode(chunk_k: np.ndarray, chunk_v: np.ndarray) -> Tuple[_FP8Tile, _FP8Tile]:
+        return _fp8_tile(chunk_k), _fp8_tile(chunk_v)
+
+    def _attend(
         self, q: np.ndarray, k: np.ndarray, v: np.ndarray, causal: bool, scale: Optional[float]
     ) -> np.ndarray:
-        q = np.asarray(q, dtype=np.float64)
-        k = gqa_expand(np.asarray(k, dtype=np.float64), q.shape[0])
-        v = gqa_expand(np.asarray(v, dtype=np.float64), q.shape[0])
+        k = gqa_expand(k, q.shape[0])
+        v = gqa_expand(v, q.shape[0])
         n_q, d = q.shape[-2], q.shape[-1]
         n_k = k.shape[-2]
         sm_scale = scale if scale is not None else 1.0 / np.sqrt(d)
@@ -139,34 +106,3 @@ class FP8Attention(AttentionBackend):
             o_tile, _ = state.finalize()
             out[:, qs:qe, :] = o_tile
         return out
-
-    def prefill(
-        self,
-        q: np.ndarray,
-        k: np.ndarray,
-        v: np.ndarray,
-        causal: bool = True,
-        scale: Optional[float] = None,
-    ):
-        k = np.asarray(k, dtype=np.float64)
-        v = np.asarray(v, dtype=np.float64)
-        out = self._flash_fp8(q, k, v, causal=causal, scale=scale)
-        state = FP8State(k.shape[0], k.shape[-1], tile=self.tile)
-        state.ingest(k, v)
-        return out, state
-
-    def decode_step(
-        self,
-        q_t: np.ndarray,
-        k_t: np.ndarray,
-        v_t: np.ndarray,
-        state: FP8State,
-        scale: Optional[float] = None,
-    ) -> np.ndarray:
-        k_t = np.asarray(k_t, dtype=np.float64).reshape(state.n_heads, 1, state.head_dim)
-        v_t = np.asarray(v_t, dtype=np.float64).reshape(state.n_heads, 1, state.head_dim)
-        state.ingest(k_t, v_t)
-        k_full, v_full = state.dequantized()
-        q = np.asarray(q_t, dtype=np.float64)[:, None, :]
-        out = self._flash_fp8(q, k_full, v_full, causal=False, scale=scale)
-        return out[:, 0, :]

@@ -20,30 +20,26 @@ behaviour while staying compatible with autoregressive flushing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
-from repro.baselines.base import AttentionBackend, DecodeState
-from repro.baselines.kivi import _quantize_key_group, _quantize_value_group
+from repro.baselines.kivi import KIVIAttention, KIVIConfig
 from repro.fp.formats import FP16, quantize_to_format
 from repro.quant.qtensor import QuantizedTensor
 
-__all__ = ["GEARConfig", "GEARState", "GEARAttention", "low_rank_factors"]
+__all__ = ["GEARConfig", "GEARAttention", "low_rank_factors"]
 
 
 @dataclass(frozen=True)
-class GEARConfig:
-    """GEAR-L hyper-parameters (paper notation: ``GEAR-L_{r=4}``)."""
+class GEARConfig(KIVIConfig):
+    """GEAR-L hyper-parameters (paper notation: ``GEAR-L_{r=4}``): KIVI's
+    plus the rank of the error correction."""
 
-    bits: int = 4
-    group_size: int = 64
-    residual: int = 64
     rank: int = 4
 
     def __post_init__(self) -> None:
-        if self.bits not in (2, 3, 4, 8):
-            raise ValueError(f"unsupported GEAR bit-width: {self.bits}")
+        super().__post_init__()
         if self.rank < 1:
             raise ValueError("rank must be >= 1")
 
@@ -67,119 +63,35 @@ def low_rank_factors(err: np.ndarray, rank: int) -> Tuple[np.ndarray, np.ndarray
     return quantize_to_format(a, FP16), quantize_to_format(b, FP16)
 
 
+@dataclass
 class _Group:
-    """One flushed group: quantized backbone + low-rank error factors."""
+    """One flushed group: KIVI's quantized backbone + low-rank error factors."""
 
-    def __init__(self, qt: QuantizedTensor, a: np.ndarray, b: np.ndarray, shape):
-        self.qt = qt
-        self.a = a
-        self.b = b
-        self.shape = shape
+    qt: QuantizedTensor
+    a: np.ndarray
+    b: np.ndarray
 
     def dequantize(self) -> np.ndarray:
-        base = self.qt.dequantize().reshape(self.shape)
-        return base + self.a @ self.b
+        correction = self.a @ self.b
+        return self.qt.dequantize().reshape(correction.shape) + correction
 
     @property
     def storage_bits(self) -> int:
-        return (
-            self.qt.storage_bits
-            + int(np.prod(self.a.shape)) * 16
-            + int(np.prod(self.b.shape)) * 16
-        )
+        return self.qt.storage_bits + (self.a.size + self.b.size) * 16
 
 
-class GEARState(DecodeState):
-    """Quantized+low-rank groups plus an FP16 residual window."""
-
-    def __init__(self, config: GEARConfig, n_heads: int, head_dim: int):
-        self.config = config
-        self.n_heads = n_heads
-        self.head_dim = head_dim
-        self.k_groups: List[_Group] = []
-        self.v_groups: List[_Group] = []
-        self.k_resid = np.zeros((n_heads, 0, head_dim), dtype=np.float64)
-        self.v_resid = np.zeros((n_heads, 0, head_dim), dtype=np.float64)
-
-    def _flush_group(self, chunk_k: np.ndarray, chunk_v: np.ndarray) -> None:
-        cfg = self.config
-        qk = _quantize_key_group(chunk_k, cfg.bits)
-        err_k = chunk_k - qk.dequantize()
-        ak, bk = low_rank_factors(err_k, cfg.rank)
-        self.k_groups.append(_Group(qk, ak, bk, chunk_k.shape))
-
-        qv = _quantize_value_group(chunk_v, cfg.bits, cfg.group_size)
-        err_v = chunk_v - qv.dequantize().reshape(chunk_v.shape)
-        av, bv = low_rank_factors(err_v, cfg.rank)
-        self.v_groups.append(_Group(qv, av, bv, chunk_v.shape))
-
-    def ingest(self, k: np.ndarray, v: np.ndarray) -> None:
-        k = quantize_to_format(k, FP16)
-        v = quantize_to_format(v, FP16)
-        self.k_resid = np.concatenate([self.k_resid, k], axis=1)
-        self.v_resid = np.concatenate([self.v_resid, v], axis=1)
-        g = self.config.group_size
-        while self.k_resid.shape[1] >= self.config.residual and self.k_resid.shape[1] >= g:
-            chunk_k, self.k_resid = self.k_resid[:, :g, :], self.k_resid[:, g:, :]
-            chunk_v, self.v_resid = self.v_resid[:, :g, :], self.v_resid[:, g:, :]
-            self._flush_group(chunk_k, chunk_v)
-
-    def dequantized(self) -> Tuple[np.ndarray, np.ndarray]:
-        k_parts = [grp.dequantize() for grp in self.k_groups] + [self.k_resid]
-        v_parts = [grp.dequantize() for grp in self.v_groups] + [self.v_resid]
-        return np.concatenate(k_parts, axis=1), np.concatenate(v_parts, axis=1)
-
-    @property
-    def seq_len(self) -> int:
-        return len(self.k_groups) * self.config.group_size + self.k_resid.shape[1]
-
-    def _logical_elements(self) -> int:
-        return 2 * self.seq_len * self.n_heads * self.head_dim
-
-    @property
-    def storage_bits(self) -> int:
-        total = sum(grp.storage_bits for grp in self.k_groups)
-        total += sum(grp.storage_bits for grp in self.v_groups)
-        total += int(np.prod(self.k_resid.shape)) * 16
-        total += int(np.prod(self.v_resid.shape)) * 16
-        return total
-
-
-class GEARAttention(AttentionBackend):
+class GEARAttention(KIVIAttention):
     """GEAR-L compression + exact FlashAttention on reconstructed KV."""
 
     name = "gear"
 
     def __init__(self, config: GEARConfig = GEARConfig()):
-        self.config = config
+        super().__init__(config)
 
-    def prefill(
-        self,
-        q: np.ndarray,
-        k: np.ndarray,
-        v: np.ndarray,
-        causal: bool = True,
-        scale: Optional[float] = None,
-    ) -> Tuple[np.ndarray, GEARState]:
-        k = np.asarray(k, dtype=np.float64)
-        v = np.asarray(v, dtype=np.float64)
-        out = self._flash_over(np.asarray(q, dtype=np.float64), k, v, causal=causal, scale=scale)
-        state = GEARState(self.config, n_heads=k.shape[0], head_dim=k.shape[-1])
-        state.ingest(k, v)
-        return out, state
-
-    def decode_step(
-        self,
-        q_t: np.ndarray,
-        k_t: np.ndarray,
-        v_t: np.ndarray,
-        state: GEARState,
-        scale: Optional[float] = None,
-    ) -> np.ndarray:
-        k_t = np.asarray(k_t, dtype=np.float64).reshape(state.n_heads, 1, state.head_dim)
-        v_t = np.asarray(v_t, dtype=np.float64).reshape(state.n_heads, 1, state.head_dim)
-        state.ingest(k_t, v_t)
-        k_full, v_full = state.dequantized()
-        q = np.asarray(q_t, dtype=np.float64)[:, None, :]
-        out = self._flash_over(q, k_full, v_full, causal=False, scale=scale)
-        return out[:, 0, :]
+    def _encode(self, chunk_k: np.ndarray, chunk_v: np.ndarray) -> Tuple:
+        """KIVI's group plus FP16 factors of each side's quantization error."""
+        groups = []
+        for qt, chunk in zip(super()._encode(chunk_k, chunk_v), (chunk_k, chunk_v)):
+            err = chunk - qt.dequantize().reshape(chunk.shape)
+            groups.append(_Group(qt, *low_rank_factors(err, self.config.rank)))
+        return tuple(groups)

@@ -20,15 +20,14 @@ Prefill compute is exact; quantization error enters through decode reads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
-from repro.baselines.base import AttentionBackend, DecodeState
-from repro.fp.formats import FP16, quantize_to_format
+from repro.baselines.base import AttentionBackend, WindowedState
 from repro.quant.qtensor import Granularity, QuantizedTensor
 
-__all__ = ["KIVIConfig", "KIVIState", "KIVIAttention"]
+__all__ = ["KIVIConfig", "KIVIAttention"]
 
 
 @dataclass(frozen=True)
@@ -41,7 +40,7 @@ class KIVIConfig:
 
     def __post_init__(self) -> None:
         if self.bits not in (2, 3, 4, 8):
-            raise ValueError(f"unsupported KIVI bit-width: {self.bits}")
+            raise ValueError(f"unsupported bit-width: {self.bits}")
         if self.group_size <= 0 or self.residual <= 0:
             raise ValueError("group_size and residual must be positive")
 
@@ -60,64 +59,9 @@ def _quantize_value_group(chunk: np.ndarray, bits: int, group_size: int) -> Quan
     if d % gc:
         gc = d  # fall back to whole-row statistics for awkward dims
     grouped = chunk.reshape(h, t, d // gc, gc)
-    qt = QuantizedTensor.from_float(
+    return QuantizedTensor.from_float(
         grouped, bits=bits, symmetric=False, axis=-1, granularity=Granularity.PER_TOKEN
     )
-    return qt
-
-
-class KIVIState(DecodeState):
-    """Quantized groups + FP16 residual window."""
-
-    def __init__(self, config: KIVIConfig, n_heads: int, head_dim: int):
-        self.config = config
-        self.n_heads = n_heads
-        self.head_dim = head_dim
-        self.k_groups: List[QuantizedTensor] = []
-        self.v_groups: List[QuantizedTensor] = []
-        self.k_resid = np.zeros((n_heads, 0, head_dim), dtype=np.float64)
-        self.v_resid = np.zeros((n_heads, 0, head_dim), dtype=np.float64)
-
-    # -- construction -----------------------------------------------------
-    def ingest(self, k: np.ndarray, v: np.ndarray) -> None:
-        """Append tokens, flushing full groups out of the residual window."""
-        k = quantize_to_format(k, FP16)
-        v = quantize_to_format(v, FP16)
-        self.k_resid = np.concatenate([self.k_resid, k], axis=1)
-        self.v_resid = np.concatenate([self.v_resid, v], axis=1)
-        g = self.config.group_size
-        while self.k_resid.shape[1] >= self.config.residual and self.k_resid.shape[1] >= g:
-            chunk_k, self.k_resid = self.k_resid[:, :g, :], self.k_resid[:, g:, :]
-            chunk_v, self.v_resid = self.v_resid[:, :g, :], self.v_resid[:, g:, :]
-            self.k_groups.append(_quantize_key_group(chunk_k, self.config.bits))
-            self.v_groups.append(
-                _quantize_value_group(chunk_v, self.config.bits, g)
-            )
-
-    # -- reads ------------------------------------------------------------
-    def dequantized(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Full K/V as the attention kernel sees them (lossy + residual)."""
-        h, d = self.n_heads, self.head_dim
-        k_parts = [qt.dequantize() for qt in self.k_groups] + [self.k_resid]
-        v_parts = [qt.dequantize().reshape(h, -1, d) for qt in self.v_groups] + [self.v_resid]
-        return np.concatenate(k_parts, axis=1), np.concatenate(v_parts, axis=1)
-
-    # -- accounting ---------------------------------------------------------
-    @property
-    def seq_len(self) -> int:
-        g = self.config.group_size
-        return len(self.k_groups) * g + self.k_resid.shape[1]
-
-    def _logical_elements(self) -> int:
-        return 2 * self.seq_len * self.n_heads * self.head_dim
-
-    @property
-    def storage_bits(self) -> int:
-        total = sum(qt.storage_bits for qt in self.k_groups)
-        total += sum(qt.storage_bits for qt in self.v_groups)
-        total += int(np.prod(self.k_resid.shape)) * 16
-        total += int(np.prod(self.v_resid.shape)) * 16
-        return total
 
 
 class KIVIAttention(AttentionBackend):
@@ -128,33 +72,14 @@ class KIVIAttention(AttentionBackend):
     def __init__(self, config: KIVIConfig = KIVIConfig()):
         self.config = config
 
-    def prefill(
-        self,
-        q: np.ndarray,
-        k: np.ndarray,
-        v: np.ndarray,
-        causal: bool = True,
-        scale: Optional[float] = None,
-    ) -> Tuple[np.ndarray, KIVIState]:
-        k = np.asarray(k, dtype=np.float64)
-        v = np.asarray(v, dtype=np.float64)
-        out = self._flash_over(np.asarray(q, dtype=np.float64), k, v, causal=causal, scale=scale)
-        state = KIVIState(self.config, n_heads=k.shape[0], head_dim=k.shape[-1])
-        state.ingest(k, v)
-        return out, state
+    def _new_state(self, n_heads: int, head_dim: int) -> WindowedState:
+        cfg = self.config
+        return WindowedState(n_heads, head_dim, self._encode, cfg.group_size, cfg.residual)
 
-    def decode_step(
-        self,
-        q_t: np.ndarray,
-        k_t: np.ndarray,
-        v_t: np.ndarray,
-        state: KIVIState,
-        scale: Optional[float] = None,
-    ) -> np.ndarray:
-        k_t = np.asarray(k_t, dtype=np.float64).reshape(state.n_heads, 1, state.head_dim)
-        v_t = np.asarray(v_t, dtype=np.float64).reshape(state.n_heads, 1, state.head_dim)
-        state.ingest(k_t, v_t)
-        k_full, v_full = state.dequantized()
-        q = np.asarray(q_t, dtype=np.float64)[:, None, :]
-        out = self._flash_over(q, k_full, v_full, causal=False, scale=scale)
-        return out[:, 0, :]
+    def _encode(self, chunk_k: np.ndarray, chunk_v: np.ndarray) -> Tuple:
+        """One flushed group: per-channel keys, per-token values."""
+        cfg = self.config
+        return (
+            _quantize_key_group(chunk_k, cfg.bits),
+            _quantize_value_group(chunk_v, cfg.bits, cfg.group_size),
+        )

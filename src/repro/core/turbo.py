@@ -32,6 +32,7 @@ from repro.core.decode import turbo_decode_step
 from repro.core.headwise import HeadSelectionMethod, assign_head_bits, select_two_bit_heads
 from repro.core.kvcache import QuantizedKVCache
 from repro.core.prefill import turbo_prefill
+from repro.core.state import DecodeState
 from repro.guard.escalation import PrecisionEscalator
 from repro.guard.report import GuardConfig, GuardReport
 
@@ -39,7 +40,7 @@ __all__ = ["TurboAttention", "TurboKVState"]
 
 
 @dataclass
-class TurboKVState:
+class TurboKVState(DecodeState):
     """Per-layer attention state: progressive cache + INT8 buffer.
 
     ``report`` and ``escalator`` are populated when the owning
@@ -64,19 +65,12 @@ class TurboKVState:
         return self.cache.storage_bits + self.buffer.storage_bits
 
     @property
-    def storage_bytes(self) -> float:
-        return self.storage_bits / 8.0
+    def n_heads(self) -> int:
+        return self.cache.n_heads
 
-    def effective_bits_per_value(self) -> float:
-        """Average stored bits per K/V element across cache and buffer."""
-        n = 2 * self.seq_len * self.cache.n_heads * self.cache.head_dim
-        return self.storage_bits / n if n else 0.0
-
-    def compression_ratio(self, reference_bits: int = 16) -> float:
-        n = 2 * self.seq_len * self.cache.n_heads * self.cache.head_dim
-        if n == 0 or self.storage_bits == 0:
-            return 1.0
-        return (n * reference_bits) / self.storage_bits
+    @property
+    def head_dim(self) -> int:
+        return self.cache.head_dim
 
 
 class TurboAttention:

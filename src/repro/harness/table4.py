@@ -20,34 +20,10 @@ from repro.baselines.fp16_cache import FP16Attention
 from repro.core import TurboAttention, TurboConfig
 from repro.harness.common import render_table
 from repro.models.config import MODEL_PRESETS
-from repro.sas.softmax import SAS
 from repro.tasks import TASK_PRESETS
 from repro.tasks.recall import evaluate_backend
 
 __all__ = ["Table4Row", "run", "main"]
-
-
-class _SASOnlyAttention(FP16Attention):
-    """FP16 MatMuls, SAS in place of the softmax exp.
-
-    Implemented by monkey-free subclassing: we reuse the quantized kernel
-    with ``quantize_matmuls=False``, so both MatMuls of prefill and
-    decode run in FP16.  The kernel still stores K/V in its progressive
-    cache, here at 8 bits, and decode reads them back dequantized.
-    """
-
-    name = "sas_only"
-
-    def __init__(self):
-        self._turbo = TurboAttention(
-            TurboConfig(use_sas=True, quantize_matmuls=False, kv_bits=8)
-        )
-
-    def prefill(self, q, k, v, causal=True, scale=None):
-        return self._turbo.prefill(q, k, v, causal=causal, scale=scale)
-
-    def decode_step(self, q_t, k_t, v_t, state, scale=None):
-        return self._turbo.decode_step(q_t, k_t, v_t, state, scale=scale)
 
 
 @dataclass
@@ -64,7 +40,9 @@ def run(quick: bool = False) -> List[Table4Row]:
     variants = {
         "fp16": FP16Attention,
         "flashq_4bit": lambda: TurboAttention(TurboConfig(kv_bits=4, use_sas=False)),
-        "sas": _SASOnlyAttention,
+        "sas": lambda: TurboAttention(
+            TurboConfig(use_sas=True, quantize_matmuls=False, kv_bits=8)
+        ),
         "flashq_4bit+sas": lambda: TurboAttention(TurboConfig(kv_bits=4, use_sas=True)),
     }
     return [

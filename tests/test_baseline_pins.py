@@ -108,15 +108,17 @@ def _snapshot(name, state):
     return snap
 
 
-def _stored_arrays(state):
+def _stored_arrays(name, state):
     """Every array a state stores, in one fixed order."""
-    name = type(state).__name__
-    if name == "FP16State":
-        return [state.k, state.v]
-    if name == "FP8State":
+    if name == "fp16":
+        return [state.k_resid, state.v_resid]
+    if name.startswith("fp8"):
+        empty = [state.k_resid[:, :0]]
         return [
-            state.k_vals, state.v_vals, *state.k_scales, *state.v_scales,
-            state._pending_k, state._pending_v,
+            np.concatenate([t.values for t in state.k_groups] + empty, axis=1),
+            np.concatenate([t.values for t in state.v_groups] + empty, axis=1),
+            *(t.scale for t in state.k_groups), *(t.scale for t in state.v_groups),
+            state.k_resid, state.v_resid,
         ]
     arrays = []
     for grp in state.k_groups + state.v_groups:
@@ -130,7 +132,7 @@ def _stored_arrays(state):
 def case_digest(case) -> str:
     """One digest over a case's prefill output, decode outputs and stores."""
     state, _snaps, out, outs = _run(case)
-    return _digest([out, *outs, *_stored_arrays(state)])
+    return _digest([out, *outs, *_stored_arrays(case.split("/")[0], state)])
 
 
 #: case -> storage bits after prefill and after the decode steps, then (KIVI

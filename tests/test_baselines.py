@@ -170,3 +170,19 @@ class TestGEAR:
     def test_invalid_rank(self):
         with pytest.raises(ValueError):
             GEARConfig(rank=0)
+
+
+@pytest.mark.parametrize("config", [KIVIConfig, GEARConfig])
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"bits": 5},
+        {"group_size": 0},
+        {"group_size": -16},
+        {"residual": 0},
+        {"residual": -3},
+    ],
+)
+def test_invalid_window_configs_raise_at_construction(config, kwargs):
+    with pytest.raises(ValueError):
+        config(**kwargs)
