@@ -31,10 +31,12 @@ runs before the first scenario and after each one, and each scenario's
 metrics are normalized by the faster of the two probes around it
 (``<scenario>_probe_s``), so one slow probe — a cold start or a burst
 of load on a shared host — cannot inflate every expectation.  The
-committed baseline (``BENCH_speed_baseline.json``) carries one probe
-time, ``calibration_s``, from the machine that wrote it; CI fails when a
-quick-mode metric regresses more than 25% beyond what the probe ratio
-predicts.
+committed baseline (``BENCH_speed_baseline.json``) carries the same
+probe times from the machine that wrote it, and a metric's probe ratio
+compares like with like: its scenario's probe here over the same
+scenario's probe there (``calibration_s``, the run's fastest probe, for a
+baseline without one).  CI fails when a quick-mode metric regresses more
+than 25% beyond what the probe ratio predicts.
 
 :data:`PRE_PR` records the same scenarios measured on the pre-PR
 per-tile / per-span / per-step loop implementation (same machine, same
@@ -291,20 +293,21 @@ def compare_to_baseline(
 ) -> Tuple[List[dict], List[str]]:
     """Gate ``current`` against ``baseline`` with machine normalization.
 
-    The probe ratio ``scale = probe / baseline.calibration_s``, with the
-    probe taken next to the metric's scenario, predicts how the baseline
-    would measure on this machine; a metric fails when it lands more
-    than ``tolerance`` beyond that prediction in the regression
-    direction.  Returns the per-metric comparison rows and the list of
-    failing metric names.
+    The probe ratio ``scale``, the probe taken next to the metric's
+    scenario in this run over the one taken next to it in the baseline's,
+    predicts how the baseline would measure on this machine; a metric
+    fails when it lands more than ``tolerance`` beyond that prediction in
+    the regression direction.  Returns the per-metric comparison rows and
+    the list of failing metric names.
     """
     rows: List[dict] = []
     failures: List[str] = []
     for name, direction in GATED_METRICS:
         # The metric's own scenario probe (named by its prefix), else the
-        # run-wide one.
-        probe = current.get(f"{name.split('_', 1)[0]}_probe_s", current["calibration_s"])
-        scale = probe / baseline["calibration_s"]
+        # run-wide one, on both sides.
+        key = f"{name.split('_', 1)[0]}_probe_s"
+        probe = current.get(key, current["calibration_s"])
+        scale = probe / baseline.get(key, baseline["calibration_s"])
         base = baseline[name]
         cur = current[name]
         if direction == "lower":

@@ -133,6 +133,16 @@ class TestGate:
         _rows, failures = speed.compare_to_baseline(current, self.BASELINE)
         assert failures == ["prefill_s"]
 
+    def test_baseline_scenario_probe_normalizes_like_for_like(self):
+        # The baseline's prefill ran next to a probe twice its fastest
+        # one; measured against that probe, a prefill 30% over the
+        # prediction fails instead of hiding in the slack.
+        baseline = dict(self.BASELINE, prefill_probe_s=0.10)
+        current = dict(self.BASELINE, prefill_probe_s=0.05, prefill_s=0.065)
+        rows, failures = speed.compare_to_baseline(current, baseline)
+        assert failures == ["prefill_s"]
+        assert rows[0]["probe_ratio"] == 0.5
+
     def test_committed_baseline_carries_the_gated_metrics(self):
         path = Path(__file__).resolve().parent.parent / "BENCH_speed_baseline.json"
         baseline = json.loads(path.read_text())
