@@ -13,8 +13,9 @@ into ``n_splits`` chunks processed independently, each producing a partial
 
 The merge is exact — a property test in the suite checks bit-level
 agreement with unsplit attention — and it composes with the quantized
-cache: :func:`turbo_split_k_decode` runs each chunk through the integer
-path of Algorithm 2 and merges the partials the same way.
+cache: :func:`repro.core.decode.turbo_decode_step_split_k` runs each chunk
+through the integer path of Algorithm 2.  Both go through one driver,
+:func:`split_k_chunks`.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 
 from repro.attention.reference import reference_attention
 
-__all__ = ["merge_partials", "split_k_decode", "turbo_split_k_chunks"]
+__all__ = ["merge_partials", "split_k_chunks", "split_k_decode"]
 
 
 def merge_partials(
@@ -53,6 +54,31 @@ def merge_partials(
     return merged, lse_total
 
 
+def split_k_chunks(
+    fold_chunk: Callable[[int, int], Tuple[np.ndarray, np.ndarray]],
+    n_total: int,
+    n_splits: int,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The split-K driver: fold ``n_splits`` key chunks and merge them.
+
+    ``fold_chunk(lo, hi)`` must return the partial ``(output, lse)`` for
+    keys ``[lo, hi)`` — exact attention, or a closure over Algorithm 2's
+    integer inner loop.  Empty chunks are skipped.  Returns the merged
+    ``(output, lse)``.
+    """
+    if n_splits < 1:
+        raise ValueError("n_splits must be >= 1")
+    bounds = np.linspace(0, n_total, n_splits + 1, dtype=int)
+    outs, lses = [], []
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        if hi == lo:
+            continue
+        out, lse = fold_chunk(int(lo), int(hi))
+        outs.append(out)
+        lses.append(lse)
+    return merge_partials(outs, lses)
+
+
 def split_k_decode(
     q: np.ndarray,
     k: np.ndarray,
@@ -67,42 +93,14 @@ def split_k_decode(
     crosses chunk boundaries, i.e. decode).
     """
     k = np.asarray(k, dtype=np.float64)
-    n = k.shape[-2]
-    if n_splits < 1:
-        raise ValueError("n_splits must be >= 1")
-    bounds = np.linspace(0, n, n_splits + 1, dtype=int)
-    outs, lses = [], []
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        if hi == lo:
-            continue
-        out, lse = reference_attention(
-            q, k[..., lo:hi, :], np.asarray(v)[..., lo:hi, :],
-            scale=scale if scale is not None else 1.0 / np.sqrt(q.shape[-1]),
-            return_lse=True,
+    v = np.asarray(v)
+    if scale is None:
+        scale = 1.0 / np.sqrt(q.shape[-1])
+
+    def fold(lo: int, hi: int) -> Tuple[np.ndarray, np.ndarray]:
+        return reference_attention(
+            q, k[..., lo:hi, :], v[..., lo:hi, :], scale=scale, return_lse=True
         )
-        outs.append(out)
-        lses.append(lse)
-    merged, _ = merge_partials(outs, lses)
+
+    merged, _ = split_k_chunks(fold, k.shape[-2], n_splits)
     return merged
-
-
-def turbo_split_k_chunks(
-    fold_chunk: Callable[[int, int], Tuple[np.ndarray, np.ndarray]],
-    n_total: int,
-    n_splits: int,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Generic split-K driver for quantized decode.
-
-    ``fold_chunk(lo, hi)`` must return the partial ``(output, lse)`` for
-    keys ``[lo, hi)`` — e.g. a closure over Algorithm 2's integer inner
-    loop.  Returns the merged ``(output, lse)``.
-    """
-    bounds = np.linspace(0, n_total, n_splits + 1, dtype=int)
-    outs, lses = [], []
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        if hi == lo:
-            continue
-        out, lse = fold_chunk(int(lo), int(hi))
-        outs.append(out)
-        lses.append(lse)
-    return merge_partials(outs, lses)

@@ -36,7 +36,7 @@ from typing import Callable, Collection, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.attention.masks import causal_mask_block
-from repro.attention.split_k import merge_partials
+from repro.attention.split_k import split_k_chunks
 from repro.core.buffer import DecodeBuffer
 from repro.core.config import TurboConfig
 from repro.core.kvcache import QuantizedKVCache
@@ -598,14 +598,9 @@ def turbo_decode_step_split_k(
     exp = _exp_fn(config)
     spans = _gather_spans(cache, buffer)
     q = q_t.reshape(hkv, g, 1, d)
-    n_splits = min(n_splits, len(spans))
-    bounds = np.linspace(0, len(spans), n_splits + 1, dtype=int)
-    outs, lses = [], []
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        if hi == lo:
-            continue
-        out, lse = _attend(q, 1, spans[lo:hi], exp, scale, config)
-        outs.append(out)
-        lses.append(lse)
-    merged, _ = merge_partials(outs, lses)
+    merged, _ = split_k_chunks(
+        lambda lo, hi: _attend(q, 1, spans[lo:hi], exp, scale, config),
+        len(spans),
+        min(n_splits, len(spans)),
+    )
     return merged.reshape(hq, d)

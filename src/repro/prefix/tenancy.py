@@ -150,9 +150,6 @@ class TenantLedger:
         return share > slack * entitlement
 
     # -- introspection --------------------------------------------------------
-    def priority_of(self, tenant_id: int) -> int:
-        return self._state(tenant_id).config.priority
-
     def seen_tenants(self) -> Dict[int, Dict[str, float]]:
         """Per-tenant counters for operator visibility."""
         return {

@@ -157,13 +157,6 @@ class PagedKVAllocator:
         blocks = (eff // self.block_tokens).astype(np.int64)
         return blocks + (eff > blocks * self.block_tokens)
 
-    def can_allocate(self, request_id: int, tokens: int) -> bool:
-        """Would growing/creating ``request_id`` to ``tokens`` succeed?"""
-        slot = self._index.get(request_id)
-        have = int(self._slot_blocks[slot]) if slot is not None else 0
-        scale = float(self._slot_scale[slot]) if slot is not None else 1.0
-        return self.blocks_for(tokens, scale) - have <= self.free_blocks
-
     def blocks_needed(
         self, request_id: int, tokens: int, bytes_scale: float = 1.0
     ) -> int:
