@@ -1,7 +1,8 @@
 """Pinned storage accounting and KIVI cache reads of every baseline backend.
 
 Each case runs one prefill and then 70 decode steps, which cross several
-group flushes at every (group, residual) setting.  Storage counts depend
+group flushes at every (group, residual) setting; the window is checked
+after every step.  Storage counts depend
 on shapes alone, and KIVI's dequantized cache comes from elementwise
 NumPy only (min/max, divide, ``rint``, multiply-add, float16 casts), so
 both are pinned as literals that read the same on any host.  Attention
@@ -72,8 +73,9 @@ def _digest(arrays) -> str:
 
 
 def _run(case):
-    """Prefill then ``STEPS`` decode steps; returns the state after each
-    phase's snapshot, the prefill output and the decode outputs."""
+    """Prefill then ``STEPS`` decode steps; returns the final state, a
+    snapshot after prefill and after every step, the prefill output and
+    the decode outputs."""
     name, geo = case.split("/")
     hq, hkv, n, d, causal, seed = GEOMETRIES[geo]
     rng = np.random.default_rng(seed)
@@ -82,18 +84,18 @@ def _run(case):
     v = rng.standard_normal((hkv, n, d))
     backend = BACKENDS[name]()
     out, state = backend.prefill(q, k, v, causal=causal)
-    snapshots = [_snapshot(name, state)]
+    snapshots = [_snapshot(name, state, reads=True)]
     outs = []
-    for _ in range(STEPS):
+    for step in range(1, STEPS + 1):
         q_t = rng.standard_normal((hq, d))
         k_t = rng.standard_normal((hkv, d))
         v_t = rng.standard_normal((hkv, d))
         outs.append(backend.decode_step(q_t, k_t, v_t, state))
-    snapshots.append(_snapshot(name, state))
+        snapshots.append(_snapshot(name, state, reads=step == STEPS))
     return state, snapshots, out, outs
 
 
-def _snapshot(name, state):
+def _snapshot(name, state, reads):
     snap = {
         "seq_len": state.seq_len,
         "storage_bits": state.storage_bits,
@@ -103,7 +105,7 @@ def _snapshot(name, state):
     if name.startswith(("kivi", "gear")):
         snap["groups"] = len(state.k_groups)
         snap["resid"] = state.k_resid.shape[1]
-    if name.startswith("kivi"):
+    if reads and name.startswith("kivi"):
         snap["dequantized"] = _digest(state.dequantized())
     return snap
 
@@ -306,18 +308,21 @@ def test_accounting_and_reads_are_pinned(case):
     name, geo = case.split("/")
     _hq, hkv, n, d, _causal, _seed = GEOMETRIES[geo]
     _state, snapshots, _out, _outs = _run(case)
-    pins = PINS[case]
-    for phase, (snap, tokens) in enumerate(zip(snapshots, (n, n + STEPS))):
-        bits = pins[phase]
-        elements = 2 * tokens * hkv * d
+    # Flushes follow the window rule after prefill and after every step.
+    for tokens, snap in enumerate(snapshots, start=n):
         assert snap["seq_len"] == tokens
-        assert snap["storage_bits"] == bits
-        assert snap["effective_bits"] == bits / elements
-        assert snap["compression"] == elements * 16 / bits
         if "groups" in snap:
             cfg = BACKENDS[name]().config
             expected = _expected_window(tokens, cfg.group_size, cfg.residual)
             assert (snap["groups"], snap["resid"]) == expected
+    pins = PINS[case]
+    for phase, tokens in enumerate((n, n + STEPS)):
+        snap = snapshots[tokens - n]
+        bits = pins[phase]
+        elements = 2 * tokens * hkv * d
+        assert snap["storage_bits"] == bits
+        assert snap["effective_bits"] == bits / elements
+        assert snap["compression"] == elements * 16 / bits
         if "dequantized" in snap:
             assert snap["dequantized"] == pins[2 + phase]
 
