@@ -54,31 +54,6 @@ def merge_partials(
     return merged, lse_total
 
 
-def split_k_chunks(
-    fold_chunk: Callable[[int, int], Tuple[np.ndarray, np.ndarray]],
-    n_total: int,
-    n_splits: int,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """The split-K driver: fold ``n_splits`` key chunks and merge them.
-
-    ``fold_chunk(lo, hi)`` must return the partial ``(output, lse)`` for
-    keys ``[lo, hi)`` — exact attention, or a closure over Algorithm 2's
-    integer inner loop.  Empty chunks are skipped.  Returns the merged
-    ``(output, lse)``.
-    """
-    if n_splits < 1:
-        raise ValueError("n_splits must be >= 1")
-    bounds = np.linspace(0, n_total, n_splits + 1, dtype=int)
-    outs, lses = [], []
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        if hi == lo:
-            continue
-        out, lse = fold_chunk(int(lo), int(hi))
-        outs.append(out)
-        lses.append(lse)
-    return merge_partials(outs, lses)
-
-
 def split_k_decode(
     q: np.ndarray,
     k: np.ndarray,
@@ -104,3 +79,28 @@ def split_k_decode(
 
     merged, _ = split_k_chunks(fold, k.shape[-2], n_splits)
     return merged
+
+
+def split_k_chunks(
+    fold_chunk: Callable[[int, int], Tuple[np.ndarray, np.ndarray]],
+    n_total: int,
+    n_splits: int,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The split-K driver: fold ``n_splits`` key chunks and merge them.
+
+    ``fold_chunk(lo, hi)`` must return the partial ``(output, lse)`` for
+    keys ``[lo, hi)`` — exact attention, or a closure over Algorithm 2's
+    integer inner loop.  Empty chunks are skipped.  Returns the merged
+    ``(output, lse)``.
+    """
+    if n_splits < 1:
+        raise ValueError("n_splits must be >= 1")
+    bounds = np.linspace(0, n_total, n_splits + 1, dtype=int)
+    outs, lses = [], []
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        if hi == lo:
+            continue
+        out, lse = fold_chunk(int(lo), int(hi))
+        outs.append(out)
+        lses.append(lse)
+    return merge_partials(outs, lses)
