@@ -20,7 +20,7 @@ behaviour while staying compatible with autoregressive flushing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
 import numpy as np
 
@@ -63,8 +63,7 @@ def low_rank_factors(err: np.ndarray, rank: int) -> Tuple[np.ndarray, np.ndarray
     return quantize_to_format(a, FP16), quantize_to_format(b, FP16)
 
 
-@dataclass
-class _Group:
+class _Group(NamedTuple):
     """One flushed group: KIVI's quantized backbone + low-rank error factors."""
 
     qt: QuantizedTensor

@@ -2,12 +2,12 @@
 
 Each case runs one prefill and then 70 decode steps, which cross several
 group flushes at every (group, residual) setting; the window is checked
-after every step.  Storage counts depend
-on shapes alone, and KIVI's dequantized cache comes from elementwise
-NumPy only (min/max, divide, ``rint``, multiply-add, float16 casts), so
-both are pinned as literals that read the same on any host.  Attention
-outputs, GEAR's SVD factors and FP8's ``log2``/``exp2`` rounding depend
-on the host's float kernels and are not pinned here.
+after every step.  Storage counts depend on shapes alone, and KIVI's
+dequantized cache comes from elementwise NumPy only (min/max, divide,
+``rint``, multiply-add, float16 casts), so both are pinned as literals
+that read the same on any host.  Attention outputs, GEAR's SVD factors
+and FP8's ``log2``/``exp2`` rounding depend on the host's float kernels
+and are not pinned here.
 
 ``python tests/test_baseline_pins.py`` prints one digest per case over
 the prefill output, every decode output and the stored arrays, for
