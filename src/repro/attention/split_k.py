@@ -14,7 +14,7 @@ into ``n_splits`` chunks processed independently, each producing a partial
 The merge is exact — a property test in the suite checks bit-level
 agreement with unsplit attention — and it composes with the quantized
 cache: :func:`repro.core.decode.turbo_decode_step_split_k` runs each chunk
-through the integer path of Algorithm 2.  Both go through one driver,
+through the integer path of Algorithm 2.  Both go through one chunk loop,
 :func:`split_k_chunks`.
 """
 
@@ -86,7 +86,7 @@ def split_k_chunks(
     n_total: int,
     n_splits: int,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """The split-K driver: fold ``n_splits`` key chunks and merge them.
+    """The split-K loop: fold ``n_splits`` key chunks and merge them.
 
     ``fold_chunk(lo, hi)`` must return the partial ``(output, lse)`` for
     keys ``[lo, hi)`` — exact attention, or a closure over Algorithm 2's
