@@ -27,6 +27,8 @@ from repro.core.kvcache import QuantizedKVCache
 from repro.core.prefill import _exp_fn, quantize_tile
 from repro.core.serialization import state_digest, state_to_arrays
 from repro.core.turbo import TurboKVState
+from repro.sas.lut import ExpLUT
+from repro.sas.poly import poly_eval
 
 __all__ = [
     "ODD_PAYLOAD_GEOMETRY",
@@ -35,12 +37,35 @@ __all__ = [
     "reference_decode_attend",
     "reference_miniature_payload",
     "reference_prefill_attention",
+    "reference_sas_exp",
 ]
 
 
 def naive_int_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Integer matmul in an int64 accumulator — overflow-proof oracle."""
     return (a.astype(np.int64) @ b.astype(np.int64)).astype(np.int32)
+
+
+def reference_sas_exp(
+    x: np.ndarray,
+    lut: ExpLUT,
+    coeffs: Sequence[float],
+    threshold: int,
+    emulate_fp16: bool,
+) -> np.ndarray:
+    """SAS's exponential as one whole-array pass: a frozen copy of the
+    ``repro.sas.softmax.sas_exp`` formula, which the production function
+    may evaluate in pieces but must match byte for byte."""
+    x = np.asarray(x, dtype=np.float64)
+    finite = np.isfinite(x)
+    active = finite & (x >= threshold)
+    y = np.where(active, -np.minimum(x, 0.0), 0.0)
+    y_int = np.floor(y)
+    y_dec = y - y_int
+    out = lut.lookup(y_int.astype(np.int64)) * poly_eval(
+        y_dec, coeffs, emulate_fp16=emulate_fp16
+    )
+    return np.where(active, out, 0.0)
 
 
 def reference_prefill_attention(

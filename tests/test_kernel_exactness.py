@@ -71,6 +71,18 @@ def test_int_matmul_matches_int64_oracle():
     assert np.array_equal(int_matmul(a, b), naive_int_matmul(a, b))
 
 
+@pytest.mark.parametrize("k", [1040, 1041])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_int_matmul_exact_on_both_sides_of_float32_rule(k, sign):
+    # All-127 operands put the worst-case accumulator at the product
+    # itself: 127 * 127 * 1040 = 16,774,160 fits float32's exact integers
+    # (2**24), while 127 * 127 * 1041 = 16,790,289 is odd and past 2**24,
+    # so float32 cannot hold it and the product must widen further.
+    a = np.full((3, k), sign * 127, dtype=np.int8)
+    b = np.full((2, k, 4), 127, dtype=np.int8)
+    assert np.array_equal(int_matmul(a, b), naive_int_matmul(a, b))
+
+
 @pytest.mark.parametrize("hq,hkv", [(8, 2), (4, 4)])
 @pytest.mark.parametrize("kv_bits", [2, 4, 8])
 def test_prefill_matches_loop_oracle(hq, hkv, kv_bits):

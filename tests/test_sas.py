@@ -8,6 +8,11 @@ from repro.sas.lut import ExpLUT
 from repro.sas.poly import PAPER_POLY_COEFFS, fit_exp_poly, poly_eval, poly_max_error
 from repro.sas.softmax import SAS, SASConfig, sas_exp, sas_softmax
 
+from tests._reference_kernels import reference_sas_exp
+
+#: Elements per pass of ``sas_exp`` over its flattened input.
+_CHUNK = 8192
+
 
 class TestPoly:
     def test_paper_coeffs_accurate(self):
@@ -110,6 +115,68 @@ class TestSASExp:
     def test_fp16_mode_still_accurate(self):
         sas = SAS(SASConfig(emulate_fp16=True))
         assert sas.max_abs_error(n_points=2001) < 3e-3
+
+
+def _sas_inputs(size: int, seed: int) -> np.ndarray:
+    """``size`` inputs: every special case first, then random draws from
+    the active range, the sparse tail and exact integers."""
+    specials = np.array([
+        np.nan, np.inf, -np.inf, 0.0, -0.0,
+        -6.0, np.nextafter(-6.0, -np.inf), np.nextafter(-6.0, 0.0),
+        5e-324, 1e-300, 1e-9, 0.01, 0.5, 3.0, -5e-324, -1.0, -5.5, -7.0, -1e300,
+    ])
+    rng = np.random.default_rng(seed)
+    draws = np.concatenate([
+        rng.uniform(-7.0, 0.5, size),
+        -8.0 * np.abs(rng.standard_normal(size)),
+        rng.integers(-8, 1, size).astype(np.float64),
+    ])
+    return np.concatenate([specials, rng.permutation(draws)])[:size]
+
+
+class TestSASExpMatchesFrozenFormula:
+    """``sas_exp`` must give the bytes, dtype and shape of one whole-array
+    pass of its formula (frozen in ``tests/_reference_kernels.py``) for
+    any input size, layout and rank."""
+
+    @staticmethod
+    def _check(x, emulate_fp16: bool, threshold: int = -6) -> None:
+        lut = ExpLUT(threshold=threshold, emulate_fp16=emulate_fp16)
+        got = sas_exp(x, lut, PAPER_POLY_COEFFS, threshold, emulate_fp16)
+        want = reference_sas_exp(x, lut, PAPER_POLY_COEFFS, threshold, emulate_fp16)
+        assert type(got) is type(want)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("emulate_fp16", [False, True])
+    @pytest.mark.parametrize(
+        "size", [0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 5]
+    )
+    def test_sizes(self, size, emulate_fp16):
+        self._check(_sas_inputs(size, size), emulate_fp16)
+
+    @pytest.mark.parametrize("emulate_fp16", [False, True])
+    def test_views_ranks_and_scalars(self, emulate_fp16):
+        grid = _sas_inputs(6 * _CHUNK, 7).reshape(48, -1)
+        cube = grid.reshape(6, 8, -1)
+        for x in (
+            grid[::3, 1::2], grid.T, grid[:, ::-1], cube.transpose(2, 0, 1),
+            np.float64(-2.5), np.array(-0.0), np.array(np.nan), np.empty((3, 0)),
+            [-0.25, -6.0, 1.0],
+        ):
+            self._check(x, emulate_fp16)
+
+    def test_other_threshold(self):
+        self._check(_sas_inputs(2 * _CHUNK + 3, 11), False, threshold=-3)
+
+    def test_callable_matches_formula(self):
+        x = _sas_inputs(_CHUNK + 17, 5).reshape(-1, 1)
+        for config in (SASConfig(), SASConfig(emulate_fp16=True)):
+            sas = SAS(config)
+            want = reference_sas_exp(
+                x, sas.lut, config.coeffs, config.threshold, config.emulate_fp16
+            )
+            assert sas(x).tobytes() == want.tobytes()
 
 
 class TestSASSoftmax:
