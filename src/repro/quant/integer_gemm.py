@@ -16,6 +16,11 @@ guard is *recoverable*: ``on_overflow="chunk"`` splits the inner dimension
 into spans whose int32 partials cannot overflow and sums them in an int64
 accumulator — exactly the split-K + wide-accumulator trick a real kernel
 would use — instead of raising.
+
+The same worst case picks the float type the product runs in.  An integer
+product needs only an accumulator wide enough for its bound (as in
+INT-FlashAttention): :func:`exact_float_dtype` returns float32, which holds
+every integer up to 2**24, when the bound allows, else float64.
 """
 
 from __future__ import annotations
@@ -24,15 +29,45 @@ from typing import Optional
 
 import numpy as np
 
-__all__ = ["int_matmul", "int32_headroom_ok", "scaled_int_matmul"]
+__all__ = [
+    "code_magnitude",
+    "exact_float_dtype",
+    "int_matmul",
+    "int32_headroom_ok",
+    "scaled_int_matmul",
+]
 
 _INT32_MAX = np.iinfo(np.int32).max
+#: Every integer of magnitude up to 2**24 is a float32.
+_FLOAT32_EXACT = 1 << 24
+
+
+def code_magnitude(x: np.ndarray) -> int:
+    """Largest ``|code|`` of an integer array as a Python int (0 if empty).
+
+    ``np.abs`` works in the array's dtype, where the most negative code
+    has no positive twin (``abs(int8(-128))`` is ``-128``); ``max`` and
+    ``-min`` taken as Python ints cannot wrap, and build no temporary.
+    """
+    if x.size == 0:
+        return 0
+    return max(int(x.max()), -int(x.min()))
+
+
+def exact_float_dtype(bound: int) -> type:
+    """The narrowest float type in which an integer GEMM is exact when its
+    worst-case ``|accumulator|`` is ``bound``.
+
+    Every product and every partial sum, in any order, is then an integer
+    of magnitude at most ``bound``: float32 when that is at most 2**24,
+    else float64 (exact to 2**53, far past the int32 bound).
+    """
+    return np.float32 if bound <= _FLOAT32_EXACT else np.float64
 
 
 def _worst_case_acc(a: np.ndarray, b: np.ndarray) -> int:
     """Worst-case |accumulator| of ``a @ b`` from operand magnitudes."""
-    k = a.shape[-1]
-    return int(np.max(np.abs(a), initial=0)) * int(np.max(np.abs(b), initial=0)) * int(k)
+    return code_magnitude(a) * code_magnitude(b) * int(a.shape[-1])
 
 
 def int32_headroom_ok(
@@ -48,7 +83,7 @@ def int32_headroom_ok(
 def _chunked_int_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Split-K integer MatMul: int32-safe chunks, int64 accumulation."""
     k = a.shape[-1]
-    per_step = int(np.max(np.abs(a), initial=0)) * int(np.max(np.abs(b), initial=0))
+    per_step = code_magnitude(a) * code_magnitude(b)
     if per_step > _INT32_MAX:
         # A single product already overflows int32 — no K-split can help;
         # the only recovery is a full-width accumulator throughout.
@@ -71,12 +106,14 @@ def int_matmul(
 ) -> np.ndarray:
     """Exact integer MatMul with int32 accumulation.
 
-    Both operands must be integer arrays; they are widened to int32 before
-    the product, mirroring tensor-core IMMA semantics.  When the
-    worst-case accumulator could exceed int32, ``on_overflow`` selects the
-    reaction: ``"raise"`` (default) raises ``OverflowError``; ``"chunk"``
-    recovers exactly via :func:`_chunked_int_matmul` (split-K int32
-    partials summed in int64).
+    Both operands must be integer arrays; the result is the int32 product
+    of tensor-core IMMA semantics.  When the worst-case accumulator could
+    exceed int32, ``on_overflow`` selects the reaction: ``"raise"``
+    (default) raises ``OverflowError``; ``"chunk"`` recovers exactly via
+    :func:`_chunked_int_matmul` (split-K int32 partials summed in int64).
+    Otherwise the product runs as a BLAS float GEMM in
+    :func:`exact_float_dtype` of the worst case: float32 for the kernels'
+    INT8 products (``119 * 127 * 128`` for QK), float64 past 2**24.
     """
     if on_overflow not in ("raise", "chunk"):
         raise ValueError(f"unknown on_overflow policy: {on_overflow!r}")
@@ -92,12 +129,12 @@ def int_matmul(
             f"int32 accumulator could overflow: worst case {worst} for "
             f"K={a.shape[-1]}"
         )
-    # NumPy routes integer matmul through a naive C loop; float64 matmul
-    # goes through BLAS.  With the worst-case |accumulator| bounded by
-    # int32 (checked above, and far below 2**53), every product and every
-    # partial sum is an exactly representable float64 integer, so the
-    # dgemm result *is* the int32 IMMA result — bit-exact, ~20x faster.
-    return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int32)
+    # NumPy routes integer matmul through a naive C loop; float matmul goes
+    # through BLAS.  Every product and partial sum is an integer no larger
+    # than ``worst``, which the chosen float type represents exactly, so
+    # the BLAS result *is* the int32 IMMA result, bit for bit.
+    dtype = exact_float_dtype(worst)
+    return (a.astype(dtype) @ b.astype(dtype)).astype(np.int32)
 
 
 def scaled_int_matmul(

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.quant.integer_gemm import int_matmul, scaled_int_matmul
+from repro.quant.integer_gemm import int32_headroom_ok, int_matmul, scaled_int_matmul
 from repro.quant.schemes import (
     dequantize_asymmetric,
     dequantize_symmetric,
@@ -43,6 +43,21 @@ class TestIntMatmul:
         b = np.full((200_000, 1), 127, dtype=np.int32)
         with pytest.raises(OverflowError):
             int_matmul(a, b)
+
+    @pytest.mark.parametrize(
+        "dtype,k,exact",
+        [(np.int8, 200_000, 3_276_800_000), (np.int16, 4, 4_294_967_296)],
+    )
+    def test_overflow_guard_sees_most_negative_code(self, dtype, k, exact):
+        # abs() of the most negative code is itself in its own dtype, so a
+        # bound taken through np.abs would read these operands as harmless.
+        low = np.iinfo(dtype).min
+        a = np.full((1, k), low, dtype=dtype)
+        b = np.full((k, 1), low, dtype=dtype)
+        assert not int32_headroom_ok(a, b)
+        with pytest.raises(OverflowError):
+            int_matmul(a, b)
+        assert int_matmul(a, b, on_overflow="chunk")[0, 0] == exact
 
     @given(
         hnp.arrays(np.int64, (4, 8), elements=st.integers(-127, 127)),
