@@ -81,6 +81,12 @@ def shared_sas(config: SASConfig = SASConfig()) -> SAS:
     return SAS(config)
 
 
+#: Elements per pass of :func:`sas_exp`: its ~10 float64 temporaries of
+#: this many elements stay in a core's L2 cache, where whole probability
+#: rows of a prefill tile (millions of elements) would stream from DRAM.
+_CHUNK = 8192
+
+
 def sas_exp(
     x: np.ndarray,
     lut: ExpLUT,
@@ -94,17 +100,25 @@ def sas_exp(
     ``-inf`` initial running max of the online softmax) return exactly 0.
     Small positive values caused by upstream rounding are clamped to 0
     before the split, so the result never exceeds ``POLY(0) ~= 1``.
+
+    The formula is elementwise, so it runs over cache-sized chunks of the
+    flattened input and the result is byte-identical to one pass over the
+    whole array, for any size, layout and ``emulate_fp16``.
     """
     x = np.asarray(x, dtype=np.float64)
-    finite = np.isfinite(x)
-    active = finite & (x >= threshold)
-    y = np.where(active, -np.minimum(x, 0.0), 0.0)
-    y_int = np.floor(y)
-    y_dec = y - y_int
-    out = lut.lookup(y_int.astype(np.int64)) * poly_eval(
-        y_dec, coeffs, emulate_fp16=emulate_fp16
-    )
-    return np.where(active, out, 0.0)
+    flat = x.reshape(-1)
+    out = np.empty(flat.shape, dtype=np.float64)
+    for s in range(0, flat.size, _CHUNK):
+        c = flat[s : s + _CHUNK]
+        active = np.isfinite(c) & (c >= threshold)
+        y = np.where(active, -np.minimum(c, 0.0), 0.0)
+        y_int = np.floor(y)
+        y_dec = y - y_int
+        exp = lut.lookup(y_int.astype(np.int64)) * poly_eval(
+            y_dec, coeffs, emulate_fp16=emulate_fp16
+        )
+        out[s : s + _CHUNK] = np.where(active, exp, 0.0)
+    return out.reshape(x.shape)
 
 
 def sas_softmax(

@@ -6,12 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.sas.lut import ExpLUT
 from repro.sas.poly import PAPER_POLY_COEFFS, fit_exp_poly, poly_eval, poly_max_error
-from repro.sas.softmax import SAS, SASConfig, sas_exp, sas_softmax
+from repro.sas.softmax import _CHUNK, SAS, SASConfig, sas_exp, sas_softmax
 
 from tests._reference_kernels import reference_sas_exp
-
-#: Elements per pass of ``sas_exp`` over its flattened input.
-_CHUNK = 8192
 
 
 class TestPoly:
