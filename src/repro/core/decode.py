@@ -18,8 +18,11 @@ windows.
 Algorithm 2's inner loop is Algorithm 1's tiled INT8 x SAS online softmax
 run for one query row, so both kernels reach attention through one
 selector, :func:`_attend`.  It runs the flattened core,
-:func:`_attend_tiles`, or else its loop twin, :func:`_attend_loop`, which
-is both kernels' guard, FP16-MatMul ablation and int32 fallback path.
+:func:`_attend_tiles`, over a key row (:class:`_KeyRow`), or else its loop
+twin, :func:`_attend_loop`, over spans; the twin is both kernels' guard,
+FP16-MatMul ablation and int32 fallback path.  Prefill concatenates its
+tiles into a row once; decode keeps one resident row per run
+(:class:`_DecodeRow`) that each step extends by its new token.
 
 :func:`turbo_decode_step_split_k` is the FlashDecoding-composed variant:
 cache blocks are partitioned into splits, each split runs the same integer
@@ -44,7 +47,7 @@ from repro.fp.formats import fp16_matmul
 from repro.guard.escalation import PrecisionEscalator
 from repro.guard.numerics import check_finite_tile, check_scale, guarded_int_matmul
 from repro.guard.report import GuardConfig, GuardReport
-from repro.quant.integer_gemm import int_matmul
+from repro.quant.integer_gemm import code_magnitude, exact_float_dtype, int_matmul
 from repro.quant.progressive import pq_decompress_to_int8
 from repro.sas.softmax import shared_sas
 
@@ -94,10 +97,150 @@ def _segment_max(x: np.ndarray, runs: Sequence[Tuple[int, int, int, int]]) -> np
     return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
 
 
+class _KeyRow:
+    """The keys of one attention call, laid out for :func:`_attend_tiles`.
+
+    ``k`` holds the K codes keys-last, shape ``(hkv, 1, d, capacity)``:
+    its first ``n_keys`` columns are the QK GEMM's right operand as they
+    stand.  ``v`` holds the V codes as float32, which represents every
+    INT8 code exactly, shape ``(hkv, capacity, d)``.  Segment ``j`` (a
+    prefill tile, a cache block or the decode buffer) covers the
+    ``lens[j]`` columns after the segments before it, with one scalar
+    scale per KV head in ``k_scales[..., j]`` and ``v_scales[..., j]``;
+    ``k_mag``/``v_mag`` are the largest code magnitudes held.  A row
+    changes only at its end: :meth:`append` adds a segment,
+    :meth:`extend` adds columns to the last one, and :meth:`pop` drops
+    the last one so that the next write takes its columns.
+    """
+
+    def __init__(self, hkv: int, d: int, capacity: int, segments: int):
+        self.k = np.empty((hkv, 1, d, capacity), dtype=np.int8)
+        self.v = np.empty((hkv, capacity, d), dtype=np.float32)
+        self.k_scales = np.empty((hkv, 1, 1, segments))
+        self.v_scales = np.empty((hkv, 1, 1, segments))
+        self.lens: List[int] = []
+        self.n_keys = 0
+        # Running maxima: entry j is the largest (|K|, |V|) code of
+        # segments 0..j, so dropping the last segment restores the rest.
+        self._mags: List[Tuple[int, int]] = []
+
+    @classmethod
+    def of_spans(cls, spans: Sequence[Span]) -> "_KeyRow":
+        """The spans, in key order, concatenated into one row."""
+        hkv, _, d = spans[0][0].shape
+        row = cls(hkv, d, sum(span[0].shape[-2] for span in spans), len(spans))
+        for span in spans:
+            row.append(*span)
+        return row
+
+    @property
+    def k_mag(self) -> int:
+        return self._mags[-1][0] if self._mags else 0
+
+    @property
+    def v_mag(self) -> int:
+        return self._mags[-1][1] if self._mags else 0
+
+    def _write(self, k_codes: np.ndarray, v_codes: np.ndarray) -> Tuple[int, int]:
+        c0 = self.n_keys
+        self.n_keys += k_codes.shape[-2]
+        self.k[:, 0, :, c0 : self.n_keys] = np.swapaxes(k_codes, -1, -2)
+        self.v[:, c0 : self.n_keys] = v_codes
+        return max(self.k_mag, code_magnitude(k_codes)), max(self.v_mag, code_magnitude(v_codes))
+
+    def append(
+        self, k_codes: np.ndarray, v_codes: np.ndarray, k_scale: np.ndarray, v_scale: np.ndarray
+    ) -> None:
+        """Add a segment after the last one."""
+        j = len(self.lens)
+        self.k_scales[..., j] = np.reshape(k_scale, self.k_scales.shape[:-1])
+        self.v_scales[..., j] = np.reshape(v_scale, self.v_scales.shape[:-1])
+        self._mags.append(self._write(k_codes, v_codes))
+        self.lens.append(k_codes.shape[-2])
+
+    def extend(self, k_codes: np.ndarray, v_codes: np.ndarray) -> None:
+        """Add columns to the last segment, under its scales."""
+        self._mags[-1] = self._write(k_codes, v_codes)
+        self.lens[-1] += k_codes.shape[-2]
+
+    def pop(self) -> None:
+        """Drop the last segment."""
+        self.n_keys -= self.lens.pop()
+        self._mags.pop()
+
+    def spans(self) -> List[Span]:
+        """The segments as ``(k_codes, v_codes, k_scale, v_scale)`` spans,
+        the form :func:`_attend_loop` and the FP16 reference step read.
+
+        The codes are C-ordered copies: BLAS picks its float kernel by
+        operand layout, so the float paths over them round as they do over
+        the spans of :func:`_gather_spans`."""
+        spans = []
+        c1 = 0
+        for j, n in enumerate(self.lens):
+            c0, c1 = c1, c1 + n
+            spans.append(
+                (
+                    np.ascontiguousarray(np.swapaxes(self.k[:, 0, :, c0:c1], -1, -2)),
+                    self.v[:, c0:c1].astype(np.int8),
+                    self.k_scales[..., j],
+                    self.v_scales[..., j],
+                )
+            )
+        return spans
+
+
+class _DecodeRow(_KeyRow):
+    """A decode run's resident key row: every cache block decompressed to
+    INT8, then the buffer's staged tokens.
+
+    :func:`turbo_decode_steps` builds one per call, with room for the
+    call's tokens, and :meth:`sync` writes what each step added: a staged
+    token once, and a flush's block over the columns of the buffer tokens
+    it holds (blocks are immutable after
+    :meth:`~repro.core.kvcache.QuantizedKVCache.append_block`).
+    """
+
+    def __init__(self, cache: QuantizedKVCache, buffer: DecodeBuffer, steps: int):
+        # Each flush adds a segment; staging ``steps`` tokens onto the
+        # buffer's ``len(buffer)`` fills it at most this many times.
+        flushes = (len(buffer) + steps) // buffer.capacity
+        super().__init__(
+            cache.n_heads,
+            cache.head_dim,
+            cache.seq_len + len(buffer) + steps,
+            len(cache.blocks) + flushes + 1,
+        )
+        self._blocks = 0  # cache blocks written
+        self._staged = 0  # buffer tokens written since the last flush
+        self.sync(cache, buffer)
+
+    def sync(self, cache: QuantizedKVCache, buffer: DecodeBuffer) -> None:
+        """Write the cache blocks and buffer tokens added since the last call."""
+        if len(cache.blocks) > self._blocks:
+            if self._staged:
+                self.pop()  # the flushed tokens: the new block takes their columns
+            for block in cache.blocks[self._blocks :]:
+                self.append(
+                    pq_decompress_to_int8(block.k),
+                    pq_decompress_to_int8(block.v),
+                    block.k.float_scale,
+                    block.v.float_scale,
+                )
+            self._blocks, self._staged = len(cache.blocks), 0
+        if len(buffer) > self._staged:
+            buf_k, buf_v = buffer.codes()
+            if self._staged:
+                self.extend(buf_k[:, self._staged :], buf_v[:, self._staged :])
+            else:
+                self.append(buf_k, buf_v, buffer.k_scale, buffer.v_scale)
+            self._staged = len(buffer)
+
+
 def _attend_tiles(
     q: np.ndarray,
     block_q: int,
-    spans: Sequence[Span],
+    row: _KeyRow,
     exp: Callable[[np.ndarray], np.ndarray],
     scale: float,
     mc: int,
@@ -107,15 +250,20 @@ def _attend_tiles(
     Algorithms 1 and 2 over whole key rows.
 
     ``q`` has shape ``(hkv, g, n, d)`` and is quantized in tiles of
-    ``block_q`` rows; ``spans`` are the K/V code segments in key order,
-    each ``(k_codes, v_codes, k_scale, v_scale)`` with one scalar scale
-    per KV head.  Each query tile attends over a prefix of the
-    concatenated segments: all of them, or with ``causal_offset``
-    (``n_keys - n`` of a causal prefill) those that start at or before
-    its last row, under the causal additive mask.  Per tile that is one
-    integer QK GEMM, two ``exp`` calls (every running-max correction and
-    the whole probability row), one segmented P quantization and one
-    batched PV GEMM per run of equal-length segments.
+    ``block_q`` rows; ``row`` holds the K/V code segments in key order,
+    with one scalar scale per segment and KV head (see :class:`_KeyRow`:
+    prefill's tiles concatenated once, or decode's resident row).  Each
+    query tile attends over a prefix of the segments: all of them, or
+    with ``causal_offset`` (``n_keys - n`` of a causal prefill) those
+    that start at or before its last row, under the causal additive
+    mask.  Per tile that is one integer QK GEMM, two ``exp`` calls (every
+    running-max correction and the whole probability row), one segmented
+    P quantization and one batched PV GEMM per run of equal-length
+    segments, which stacks the query group's rows so that each GEMM
+    multiplies a (KV head, segment) pair's V codes once.  Unless the PV
+    bound passes 2**24, nothing here copies, scans or casts the whole row
+    outside those GEMMs: the row keeps its code magnitudes and holds V as
+    float32.
 
     Bit-identical to its loop twin :func:`_attend_loop` (and to the
     oracles in ``tests/_reference_kernels.py``): integer GEMM columns are
@@ -126,10 +274,13 @@ def _attend_tiles(
     element-wise; and the ``l``/``acc`` folds keep the per-segment
     recursion, whose float order matters (each segment's probability sum
     is the same pairwise ``.sum`` over a slice of the same length).  The
-    PV products are exact integers in float64 BLAS under the int32 bound
-    checked first; when the actual code magnitudes cannot rule out int32
-    overflow this returns ``None`` and :func:`_attend` runs the loop twin,
-    whose integer GEMMs check overflow one (tile, segment) pair at a time.
+    PV products are exact integers in the float type
+    :func:`~repro.quant.integer_gemm.exact_float_dtype` picks for their
+    bound, as :func:`~repro.quant.integer_gemm.int_matmul` does for QK:
+    float32, where the row's V already is, or V widened to float64 once
+    per call.  When the code magnitudes cannot rule out int32 overflow
+    this returns ``None`` and :func:`_attend` runs the loop twin, whose
+    integer GEMMs check overflow one (tile, segment) pair at a time.
 
     Returns ``(out (hkv, g, n, d), lse (hkv, g, n))``.  Query tiles loop
     here rather than in the callers so the per-tile temporaries reuse
@@ -140,25 +291,18 @@ def _attend_tiles(
         (qs, *quantize_tile(q[:, :, qs : qs + block_q, :], mc))
         for qs in range(0, n, block_q)
     ]
-    k_all = np.concatenate([s[0] for s in spans], axis=-2)
-    v_all = np.concatenate([s[1] for s in spans], axis=-2)
-    lens = [s[0].shape[-2] for s in spans]
-    q_amax = max((int(np.max(np.abs(qc), initial=0)) for _, qc, _ in q_tiles), default=0)
-    k_amax = int(np.max(np.abs(k_all), initial=0))
-    v_amax = int(np.max(np.abs(v_all), initial=0))
-    if q_amax * k_amax * d > _INT32_MAX or mc * v_amax * max(lens) > _INT32_MAX:
+    lens = row.lens
+    q_mag = max((code_magnitude(qc) for _, qc, _ in q_tiles), default=0)
+    pv_bound = mc * row.v_mag * max(lens)
+    if q_mag * row.k_mag * d > _INT32_MAX or pv_bound > _INT32_MAX:
         return None
+    pv_dtype = exact_float_dtype(pv_bound)
 
-    nseg = len(spans)
+    nseg = len(lens)
     ends = np.cumsum(lens)
     starts = ends - lens
-    k_scales = np.stack([np.reshape(s[2], hkv) for s in spans], axis=-1).reshape(
-        hkv, 1, 1, nseg
-    )
-    v_scales = np.stack([np.reshape(s[3], hkv) for s in spans], axis=-1).reshape(
-        hkv, 1, 1, nseg
-    )
-    kT = np.swapaxes(k_all, -1, -2)[:, None, :, :]  # (hkv, 1, d, keys)
+    k_scales = row.k_scales[..., :nseg]
+    v_scales = row.v_scales[..., :nseg]
     # Maximal runs of equal-length segments, (first, stop, column, length):
     # cache blocks share one size, so a history is one or a few runs.
     breaks = [0] + [j for j in range(1, nseg) if lens[j] != lens[j - 1]] + [nseg]
@@ -181,7 +325,8 @@ def _attend_tiles(
         kmax = int(ends[j_lim - 1])
         tile_runs = [(j0, min(j1, j_lim), c0, ln) for j0, j1, c0, ln in runs if j0 < j_lim]
 
-        gemm = int_matmul(qc, kT[..., :kmax])
+        # One GEMM per KV head over all g * nq query rows.
+        gemm = int_matmul(qc, row.k[..., :kmax])
         qk_scale = np.repeat(q_scale * k_scales[..., :j_lim], seg_lens, axis=-1)
         s_row = (qk_scale * gemm) * scale
         if causal_offset is not None:
@@ -196,23 +341,24 @@ def _attend_tiles(
         p_row = exp(s_row - np.repeat(m_new, seg_lens, axis=-1))
 
         # P quantizes per (tile, segment): the absmax spans the tile's rows.
+        # Its codes are integers in [0, mc], exact in either float type.
         p_absmax = _segment_max(np.abs(p_row), tile_runs).max(axis=2)
         p_scale = np.maximum(p_absmax, 1e-12) / float(mc)  # (hkv, g, j_lim)
-        pc = np.clip(
+        pcf = np.clip(
             np.rint(p_row / np.repeat(p_scale[:, :, None, :], seg_lens, axis=-1)), -mc, mc
-        ).astype(np.int8)
+        ).astype(pv_dtype)
         if vf is None:
-            vf = v_all.astype(np.float64)
-        pcf = pc.astype(np.float64)
+            vf = row.v if pv_dtype is np.float32 else row.v[:, : row.n_keys].astype(pv_dtype)
         pv_segs = []
         for j0, j1, c0, ln in tile_runs:
             cnt = j1 - j0
             c1 = c0 + cnt * ln
+            # One GEMM per (KV head, segment) over all g * nq query rows.
             block = (
-                pcf[..., c0:c1].reshape(hkv, g, nq, cnt, ln).transpose(0, 1, 3, 2, 4)
-                @ vf[:, None, c0:c1, :].reshape(hkv, 1, cnt, ln, d)
-            )  # (hkv, g, cnt, nq, d)
-            pv_segs.extend(block[:, :, i] for i in range(cnt))
+                pcf[..., c0:c1].reshape(hkv, g * nq, cnt, ln).transpose(0, 2, 1, 3)
+                @ vf[:, c0:c1, :].reshape(hkv, cnt, ln, d)
+            )  # (hkv, cnt, g * nq, d)
+            pv_segs.extend(block[:, i].reshape(hkv, g, nq, d) for i in range(cnt))
 
         l = np.zeros((hkv, g, nq))
         acc = np.zeros((hkv, g, nq, d))
@@ -331,7 +477,7 @@ def _attend_loop(
 def _attend(
     q: np.ndarray,
     block_q: int,
-    spans: Sequence[Span],
+    keys,
     exp: Callable[[np.ndarray], np.ndarray],
     scale: float,
     config: TurboConfig,
@@ -341,46 +487,42 @@ def _attend(
     floats: Optional[Sequence[Tuple[np.ndarray, np.ndarray]]] = None,
     fp16_spans: Collection[int] = (),
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Attention for both kernels: the flattened core
-    :func:`_attend_tiles` when no guard runs, both MatMuls are INT8 and
-    the core's int32 bound holds, else :func:`_attend_loop` (which takes
-    the same arguments).  Returns ``(out (hkv, g, n, d), lse (hkv, g,
-    n))``, normalized; decode's one-row ``(out, lse)`` partials are the
-    mergeable split-K contract."""
+    """Attention for both kernels over ``keys``: a :class:`_KeyRow`
+    (decode's resident row) or the spans in key order (prefill's tiles, a
+    split-K chunk).
+
+    The flattened core :func:`_attend_tiles` runs when no guard runs, both
+    MatMuls are INT8 and the core's int32 bound holds, reading the keys as
+    a row (spans are concatenated into one); else :func:`_attend_loop`
+    (which takes the same arguments) reads them as spans (a row yields its
+    segments).  Returns ``(out (hkv, g, n, d), lse (hkv, g, n))``,
+    normalized; decode's one-row ``(out, lse)`` partials are the mergeable
+    split-K contract."""
+    is_row = isinstance(keys, _KeyRow)
     if guard is None and config.quantize_matmuls:
-        flat = _attend_tiles(q, block_q, spans, exp, scale, config.int8_max_code, causal_offset)
+        row = keys if is_row else _KeyRow.of_spans(keys)
+        flat = _attend_tiles(q, block_q, row, exp, scale, config.int8_max_code, causal_offset)
         if flat is not None:
             return flat
     return _attend_loop(
-        q, block_q, spans, exp, scale, config, causal_offset, guard, report, floats, fp16_spans
+        q, block_q, keys.spans() if is_row else keys, exp, scale, config, causal_offset,
+        guard, report, floats, fp16_spans,
     )
 
 
-def _gather_spans(
-    cache: QuantizedKVCache,
-    buffer: DecodeBuffer,
-    decoded: Optional[List[Span]] = None,
-) -> List[Span]:
+def _gather_spans(cache: QuantizedKVCache, buffer: DecodeBuffer) -> List[Span]:
     """The spans a decode step attends over: every cache block
-    decompressed to INT8, then the buffer's codes.
-
-    ``decoded`` holds the blocks earlier steps already decompressed and
-    is extended in place: blocks are immutable once appended (see
-    :meth:`~repro.core.kvcache.QuantizedKVCache.append_block`), so only
-    new ones are decompressed.
-    """
-    if decoded is None:
-        decoded = []
-    for block in cache.blocks[len(decoded) :]:
-        decoded.append(
-            (
-                pq_decompress_to_int8(block.k),
-                pq_decompress_to_int8(block.v),
-                block.k.float_scale,
-                block.v.float_scale,
-            )
+    decompressed to INT8, then the buffer's codes (the split-K path's
+    input, and the oracle of :class:`_DecodeRow`)."""
+    spans = [
+        (
+            pq_decompress_to_int8(block.k),
+            pq_decompress_to_int8(block.v),
+            block.k.float_scale,
+            block.v.float_scale,
         )
-    spans = list(decoded)
+        for block in cache.blocks
+    ]
     buf_k, buf_v = buffer.codes()
     if buf_k.shape[-2] > 0:
         spans.append((buf_k, buf_v, buffer.k_scale, buffer.v_scale))
@@ -524,12 +666,16 @@ def turbo_decode_steps(
     over the cache blocks plus the buffer: through the FP16 reference
     path when the guard flagged the step, otherwise through
     :func:`_attend` (the flattened INT8 core, or its loop twin under a
-    guard, the FP16-MatMul ablation or a failed int32 bound).  Cache blocks are decompressed once, when they first
-    appear — blocks are immutable after
-    :meth:`~repro.core.kvcache.QuantizedKVCache.append_block`, so the INT8
-    view never changes — and the SAS callable is resolved once per run.
-    Row ``t`` equals what :func:`turbo_decode_step` returns for token
-    ``t``, since that is this loop run for one token.  See
+    guard, the FP16-MatMul ablation or a failed int32 bound).
+
+    The history lives in one resident key row per call
+    (:class:`_DecodeRow`): each cache block is decompressed to INT8 and
+    written once, when it first appears, and each staged token once,
+    when it is staged.  So a step's host work outside its two GEMMs
+    tracks the new token, not the context, and the core still makes one
+    ``int_matmul`` call per step.  The SAS callable is resolved once per
+    run.  Row ``t`` equals what :func:`turbo_decode_step` returns for
+    token ``t``, since that is this loop run for one token.  See
     :func:`turbo_decode_step` for the parameters.
     """
     qs = np.asarray(qs, dtype=np.float64)
@@ -547,7 +693,7 @@ def turbo_decode_steps(
     if guard is not None and report is None:
         report = GuardReport()
     exp = _exp_fn(config)
-    decoded: List[Span] = []
+    row = _DecodeRow(cache, buffer, steps)
     out = np.empty((steps, hq, d), dtype=np.float64)
     for t in range(steps):
         q_t, k_t, v_t = qs[t], ks[t], vs[t]
@@ -558,14 +704,14 @@ def turbo_decode_steps(
             v_t, fb_v = check_finite_tile(v_t, "decode v_t", guard, report)
             fallback = fb_q or fb_k or fb_v
         _stage_token(k_t, v_t, cache, buffer, escalator, report)
-        spans = _gather_spans(cache, buffer, decoded)
+        row.sync(cache, buffer)
         q = q_t.reshape(hkv, g, 1, d)
         if fallback:
             report.fallback_steps += 1
             report.record("fallback_step:decode")
-            step_out = _reference_step_from_spans(spans, q, scale)
+            step_out = _reference_step_from_spans(row.spans(), q, scale)
         else:
-            step_out, _lse = _attend(q, 1, spans, exp, scale, config, guard=guard, report=report)
+            step_out, _lse = _attend(q, 1, row, exp, scale, config, guard=guard, report=report)
         out[t] = step_out.reshape(hq, d)
     return out
 

@@ -5,7 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.quant.integer_gemm import int32_headroom_ok, int_matmul, scaled_int_matmul
+from repro.quant.integer_gemm import (
+    int32_headroom_ok,
+    int_matmul,
+    scaled_int_matmul,
+)
 from repro.quant.schemes import (
     dequantize_asymmetric,
     dequantize_symmetric,

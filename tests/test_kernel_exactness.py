@@ -28,8 +28,9 @@ from repro.core.prefill import turbo_prefill
 from repro.core.serialization import state_from_arrays, state_to_arrays
 from repro.core.turbo import TurboKVState
 from repro.fp.formats import fp16_matmul
-from repro.guard import GuardConfig, GuardReport, NumericsError
-from repro.quant.integer_gemm import int_matmul
+from repro.guard import EscalationConfig, GuardConfig, GuardReport, NumericsError
+from repro.guard.escalation import PrecisionEscalator
+from repro.quant.integer_gemm import code_magnitude, int_matmul
 from repro.quant.progressive import LEGAL_BITS
 
 from tests._reference_kernels import (
@@ -199,6 +200,124 @@ def test_decode_step_matches_span_oracle(
         assert np.array_equal(out, ref_out)
         assert len(gemm_calls) == (1 if int32_max is None else 2 * len(spans))
     assert len({block.length for block in cache.blocks}) == (2 if kwargs else 1)
+
+
+def _check_resident_rows(monkeypatch, cache, buffer, config):
+    """Patch the core so that each decode row it reads is checked against
+    the spans ``_gather_spans`` builds from the cache and buffer at that
+    moment (codes, lengths, scales and code magnitudes), and each step's
+    result against the per-span loop oracle over those spans.  Returns
+    the list of checked steps."""
+    checked = []
+    core = core_decode._attend_tiles
+
+    def checking(q, block_q, row, *args):
+        result = core(q, block_q, row, *args)
+        spans = _gather_spans(cache, buffer)
+        hkv, g, _, d = q.shape
+        n, nseg = row.n_keys, len(spans)
+        assert row.lens == [span[0].shape[-2] for span in spans]
+        assert n == sum(row.lens)
+        k_want = np.concatenate([np.swapaxes(span[0], -1, -2) for span in spans], axis=-1)
+        assert row.k.dtype == np.int8 and np.array_equal(row.k[:, 0, :, :n], k_want)
+        v_want = np.concatenate([span[1] for span in spans], axis=-2)
+        assert row.v.dtype == np.float32 and np.array_equal(row.v[:, :n], v_want)
+        for scales, i in ((row.k_scales, 2), (row.v_scales, 3)):
+            want = np.stack([np.reshape(span[i], (hkv, 1, 1)) for span in spans], axis=-1)
+            assert np.array_equal(scales[..., :nseg], want)
+        assert row.k_mag == max(code_magnitude(span[0]) for span in spans)
+        assert row.v_mag == max(code_magnitude(span[1]) for span in spans)
+        ref_out, ref_lse = reference_decode_attend(spans, q.reshape(hkv * g, d), hkv, config)
+        assert np.array_equal(result[0].reshape(hkv * g, d), ref_out)
+        assert np.array_equal(result[1].reshape(hkv * g), ref_lse)
+        checked.append(len(cache.blocks))
+        return result
+
+    monkeypatch.setattr(core_decode, "_attend_tiles", checking)
+    return checked
+
+
+@pytest.mark.parametrize(
+    "n,steps,kwargs",
+    [
+        # 3 blocks and a 4-token buffer, then four flushes.
+        pytest.param(100, 130, dict(block_q=32, block_k=32, buffer_size=32), id="flushes"),
+        # The 16-token tail flushes a 12-token block: two block lengths.
+        pytest.param(256, 40, dict(block_q=48, block_k=48, buffer_size=12),
+                     id="tail-over-buffer"),
+        # A prompt of whole blocks starts the run with an empty buffer.
+        pytest.param(64, 33, dict(block_q=32, block_k=32, buffer_size=16),
+                     id="empty-buffer"),
+    ],
+)
+def test_resident_decode_row_matches_gathered_spans(n, steps, kwargs, monkeypatch):
+    rng = np.random.default_rng(n + steps)
+    hq, hkv, d = 4, 2, 16
+    q, k, v = _qkv(rng, hq, hkv, n, d)
+    config = TurboConfig(**kwargs)
+    res = turbo_prefill(q, k, v, config, np.array([2, 4], dtype=np.int32))
+    blocks, staged = len(res.cache.blocks), len(res.buffer)
+    checked = _check_resident_rows(monkeypatch, res.cache, res.buffer, config)
+    qs = rng.standard_normal((steps, hq, d))
+    ks, vs = (rng.standard_normal((steps, hkv, d)) for _ in range(2))
+    turbo_decode_steps(qs, ks, vs, res.cache, res.buffer, config)
+    assert len(checked) == steps
+    # A token staged onto a full buffer flushes it first.
+    assert checked[-1] - blocks == (staged + steps - 1) // config.buffer_size
+
+
+def test_resident_decode_row_follows_escalation(monkeypatch):
+    # A decode stream whose values drift far past the prefill scale: at
+    # its first flush the escalator widens every head from 4 to 8 bits
+    # (quality target 8 bits), and later flushes regrow the clamp-hot
+    # heads' buffer scale.
+    rng = np.random.default_rng(31)
+    hkv, d, steps = 4, 16, 96
+    config = TurboConfig(block_q=32, block_k=32, buffer_size=16, kv_bits=4)
+    q, k, v = _qkv(rng, hkv, hkv, 48, d)
+    res = turbo_prefill(q, k, v, config, np.full(hkv, 4, dtype=np.int32))
+    escalator = PrecisionEscalator(
+        EscalationConfig(ladder=(2, 4, 8), quality_bits=8, patience=1, cooldown=8,
+                         clamp_threshold=0.02),
+        res.head_bits,
+    )
+    scale_before = res.buffer.v_scale.copy()
+    qs, ks, vs = (rng.standard_normal((steps, hkv, d)) for _ in range(3))
+    vs[24:] = 40.0 + 4.0 * vs[24:]
+    report = GuardReport()
+    checked = _check_resident_rows(monkeypatch, res.cache, res.buffer, config)
+    turbo_decode_steps(
+        qs, ks, vs, res.cache, res.buffer, config, report=report, escalator=escalator
+    )
+    assert len(checked) == steps
+    assert report.escalations > 0 and report.scale_regrows > 0
+    assert (res.cache.head_bits == 8).all()
+    assert (res.buffer.v_scale > scale_before).any()
+    assert len({tuple(block.k.bits.reshape(-1)) for block in res.cache.blocks}) == 2
+
+
+def test_core_widens_pv_past_float32_bound():
+    # Equal keys and values in one 1,201-key tile make every P code and V
+    # code 119, so a PV dot product reaches 119 * 119 * 1201 = 17,007,361:
+    # odd and past 2**24, so float32 cannot hold it and the core must run
+    # those products in float64, in prefill and in decode alike.
+    rng = np.random.default_rng(29)
+    hq, hkv, n, d = 2, 1, 1201, 8
+    key = rng.standard_normal((hkv, 1, d))
+    q = rng.standard_normal((hq, n, d))
+    k = np.repeat(key, n, axis=1)
+    v = np.full((hkv, n, d), 2.0)
+    config = TurboConfig(block_q=64, block_k=n, buffer_size=n, kv_bits=8)
+    res = turbo_prefill(q, k, v, config, np.full(hkv, 8, dtype=np.int32), causal=False)
+    ref_out, ref_lse = reference_prefill_attention(q, k, v, config, causal=False)
+    assert np.array_equal(res.output, ref_out)
+    assert np.array_equal(res.lse, ref_lse)
+    for _ in range(3):
+        q_t = rng.standard_normal((hq, d))
+        out = turbo_decode_step(q_t, key[:, 0], np.full((hkv, d), 2.0), res.cache, res.buffer,
+                                config)
+        ref, _ = reference_decode_attend(_gather_spans(res.cache, res.buffer), q_t, hkv, config)
+        assert np.array_equal(out, ref)
 
 
 def test_decode_bulk_equals_scalar_loop():
