@@ -34,7 +34,7 @@ schedulers.
 
 from __future__ import annotations
 
-from typing import Callable, Collection, List, Optional, Sequence, Tuple
+from typing import Callable, Collection, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -325,7 +325,6 @@ def _attend_tiles(
         kmax = int(ends[j_lim - 1])
         tile_runs = [(j0, min(j1, j_lim), c0, ln) for j0, j1, c0, ln in runs if j0 < j_lim]
 
-        # One GEMM per KV head over all g * nq query rows.
         gemm = int_matmul(qc, row.k[..., :kmax])
         qk_scale = np.repeat(q_scale * k_scales[..., :j_lim], seg_lens, axis=-1)
         s_row = (qk_scale * gemm) * scale
@@ -477,7 +476,7 @@ def _attend_loop(
 def _attend(
     q: np.ndarray,
     block_q: int,
-    keys,
+    keys: Union[_KeyRow, Sequence[Span]],
     exp: Callable[[np.ndarray], np.ndarray],
     scale: float,
     config: TurboConfig,
