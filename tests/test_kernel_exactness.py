@@ -266,6 +266,33 @@ def test_resident_decode_row_matches_gathered_spans(n, steps, kwargs, monkeypatc
     assert checked[-1] - blocks == (staged + steps - 1) // config.buffer_size
 
 
+@given(
+    block=st.sampled_from([8, 16, 24]),
+    buffer_size=st.integers(1, 24),
+    n=st.integers(1, 48),
+    steps=st.integers(1, 30),
+    kv_bits=st.sampled_from(LEGAL_BITS),
+    seed=st.integers(0, 2**16),
+)
+@settings(max_examples=40, deadline=None)
+def test_resident_decode_row_over_flush_patterns(block, buffer_size, n, steps, kv_bits, seed):
+    # From a flush at every step (a one-token buffer) to none at all.
+    config = TurboConfig(
+        block_q=block, block_k=block, buffer_size=min(buffer_size, block), kv_bits=kv_bits
+    )
+    rng = np.random.default_rng(seed)
+    hq, hkv, d = 2, 1, 8
+    q, k, v = _qkv(rng, hq, hkv, n, d)
+    res = turbo_prefill(q, k, v, config, np.full(hkv, kv_bits, dtype=np.int32))
+    qs = rng.standard_normal((steps, hq, d))
+    ks, vs = (rng.standard_normal((steps, hkv, d)) for _ in range(2))
+    with pytest.MonkeyPatch.context() as patch:
+        checked = _check_resident_rows(patch, res.cache, res.buffer, config)
+        turbo_decode_steps(qs, ks, vs, res.cache, res.buffer, config)
+    assert len(checked) == steps
+    assert res.cache.seq_len + len(res.buffer) == n + steps
+
+
 def test_resident_decode_row_follows_escalation(monkeypatch):
     # A decode stream whose values drift far past the prefill scale: at
     # its first flush the escalator widens every head from 4 to 8 bits
