@@ -16,7 +16,7 @@ engine are.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -27,12 +27,14 @@ from repro.core.kvcache import QuantizedKVCache
 from repro.core.prefill import _exp_fn, quantize_tile
 from repro.core.serialization import state_digest, state_to_arrays
 from repro.core.turbo import TurboKVState
+from repro.quant.progressive import pq_decompress_to_int8
 from repro.sas.lut import ExpLUT
 from repro.sas.poly import poly_eval
 
 __all__ = [
     "ODD_PAYLOAD_GEOMETRY",
     "assert_same_payload",
+    "gather_spans",
     "naive_int_matmul",
     "reference_decode_attend",
     "reference_miniature_payload",
@@ -186,6 +188,28 @@ def reference_decode_attend(
     out = acc / safe_l[..., None]
     lse = np.where(l > 0, m + np.log(safe_l), -np.inf)
     return out.reshape(hq, d), lse.reshape(hq)
+
+
+def gather_spans(
+    cache: QuantizedKVCache, buffer: DecodeBuffer
+) -> List[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """The ``(k_codes, v_codes, k_scale, v_scale)`` spans a decode step
+    attends over, gathered afresh: every cache block decompressed to INT8,
+    then the buffer's codes when it holds any.  The oracle of the decode
+    kernel's resident key row."""
+    spans = [
+        (
+            pq_decompress_to_int8(block.k),
+            pq_decompress_to_int8(block.v),
+            block.k.float_scale,
+            block.v.float_scale,
+        )
+        for block in cache.blocks
+    ]
+    buf_k, buf_v = buffer.codes()
+    if buf_k.shape[-2] > 0:
+        spans.append((buf_k, buf_v, buffer.k_scale, buffer.v_scale))
+    return spans
 
 
 #: A payload geometry where no dimension is a power of two or equal to

@@ -6,6 +6,7 @@ import pytest
 from repro.attention.masks import causal_mask
 from repro.attention.reference import reference_attention
 from repro.baselines import (
+    FP8Attention,
     FP16Attention,
     GEARAttention,
     GEARConfig,
@@ -36,6 +37,36 @@ class TestGqaExpand:
     def test_mismatch_raises(self, rng):
         with pytest.raises(ValueError):
             gqa_expand(rng.standard_normal((3, 4, 2)), 4)
+
+
+_GQA_BACKENDS = {
+    "fp16": FP16Attention,
+    "kivi": lambda: KIVIAttention(KIVIConfig(bits=2, group_size=16, residual=16)),
+    "gear": lambda: GEARAttention(GEARConfig(bits=4, group_size=16, residual=16, rank=2)),
+    "fp8": lambda: FP8Attention(tile=16),
+}
+
+
+class TestGroupedQuery:
+    @pytest.mark.parametrize("name", sorted(_GQA_BACKENDS))
+    def test_kv_heads_serve_their_query_group(self, name, rng):
+        # Query heads 2i and 2i + 1 read KV head i: the outputs equal, byte
+        # for byte, those of the same backend given each KV head twice.
+        hq, hkv, n, d = 4, 2, 40, 16
+        q = rng.standard_normal((hq, n, d))
+        k, v = rng.standard_normal((2, hkv, n, d))
+        grouped, repeated = _GQA_BACKENDS[name](), _GQA_BACKENDS[name]()
+        out_g, state_g = grouped.prefill(q, k, v)
+        out_r, state_r = repeated.prefill(q, np.repeat(k, 2, axis=0), np.repeat(v, 2, axis=0))
+        assert np.array_equal(out_g, out_r)
+        for _ in range(24):  # past a group flush
+            q_t = rng.standard_normal((hq, d))
+            k_t, v_t = rng.standard_normal((2, hkv, d))
+            a = grouped.decode_step(q_t, k_t, v_t, state_g)
+            b = repeated.decode_step(
+                q_t, np.repeat(k_t, 2, axis=0), np.repeat(v_t, 2, axis=0), state_r
+            )
+            assert np.array_equal(a, b)
 
 
 class TestFP16Attention:

@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.attention.reference import reference_attention
 from repro.core import decode as core_decode
 from repro.core.config import TurboConfig
 from repro.core.decode import _gather_spans, turbo_decode_step, turbo_decode_steps
@@ -35,6 +36,7 @@ from repro.quant.progressive import LEGAL_BITS
 
 from tests._reference_kernels import (
     assert_same_payload,
+    gather_spans,
     naive_int_matmul,
     reference_decode_attend,
     reference_prefill_attention,
@@ -405,6 +407,47 @@ def test_decode_bulk_guarded_equals_scalar():
         ]
     )
     assert np.array_equal(bulk, scalar)
+
+
+def test_guard_fallback_step_is_reference_attention():
+    # Under the fallback policy a decode step with a non-finite input
+    # reruns as exact softmax attention over the dequantized history:
+    # byte for byte ``reference_attention`` of the sanitized query (its
+    # non-finite entries zeroed) over the gathered spans' codes times
+    # their scales, on any float kernels.  Six poisoned steps (query,
+    # key and value by turns) land before and after a buffer flush.
+    rng = np.random.default_rng(53)
+    hq, hkv, d = 4, 2, 16
+    config = TurboConfig(block_q=16, block_k=24, buffer_size=24)
+    q, k, v = _qkv(rng, hq, hkv, 75, d)
+    res = turbo_prefill(q, k, v, config, np.full(hkv, 4, dtype=np.int32))
+    guard = GuardConfig()
+    poisoned = []
+    for t in range(30):
+        q_t = rng.standard_normal((hq, d))
+        k_t, v_t = rng.standard_normal((2, hkv, d))
+        if t % 5 == 2:
+            (q_t, k_t, v_t)[t % 3][t % hkv, t % d] = (np.nan, np.inf)[t % 2]
+        report = GuardReport()
+        out = turbo_decode_step(
+            q_t, k_t, v_t, res.cache, res.buffer, config, guard=guard, report=report
+        )
+        if not report.fallback_steps:
+            continue
+        spans = gather_spans(res.cache, res.buffer)
+        k_f, v_f = (
+            np.concatenate(
+                [span[i].astype(np.float64) * np.reshape(span[i + 2], (hkv, 1, 1))
+                 for span in spans],
+                axis=-2,
+            )
+            for i in (0, 1)
+        )
+        q_ref = np.where(np.isfinite(q_t), q_t, 0.0).reshape(hkv, hq // hkv, 1, d)
+        want = reference_attention(q_ref, k_f[:, None], v_f[:, None], scale=1.0 / np.sqrt(d))
+        assert np.array_equal(out, want.reshape(hq, d))
+        poisoned.append((t, len(res.cache.blocks)))
+    assert poisoned == [(2, 3), (7, 3), (12, 3), (17, 3), (22, 4), (27, 4)]
 
 
 # --- Pinned loop paths ------------------------------------------------------
