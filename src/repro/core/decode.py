@@ -17,28 +17,30 @@ windows.
 
 Algorithm 2's inner loop is Algorithm 1's tiled INT8 x SAS online softmax
 run for one query row, so both kernels reach attention through one
-selector, :func:`_attend`.  It runs the flattened core,
-:func:`_attend_tiles`, over a key row (:class:`_KeyRow`), or else its loop
-twin, :func:`_attend_loop`, over spans; the twin is both kernels' guard,
-FP16-MatMul ablation and int32 fallback path.  Prefill concatenates its
-tiles into a row once; decode keeps one resident row per run
+selector, :func:`_attend`, over one key format, :class:`_KeyRow`.  It runs
+the flattened core, :func:`_attend_tiles`, or else its loop twin,
+:func:`_attend_loop`, which is both kernels' guard, FP16-MatMul ablation
+and int32 fallback path; a guard-flagged decode step runs the FP16
+reference step, :func:`_reference_step`, over the same row.  Prefill
+writes its tiles into a row once; decode keeps one resident row per run
 (:class:`_DecodeRow`) that each step extends by its new token.
 
 :func:`turbo_decode_step_split_k` is the FlashDecoding-composed variant:
-cache blocks are partitioned into splits, each split runs the same integer
-inner loop independently, and the partial ``(output, logsumexp)`` pairs
-merge exactly (see :mod:`repro.attention.split_k`) — demonstrating the
-paper's claim that TurboAttention slots into existing attention
-schedulers.
+the row's segments are partitioned into splits, each split runs the same
+integer inner loop independently over a view of its range, and the
+partial ``(output, logsumexp)`` pairs merge exactly (see
+:mod:`repro.attention.split_k`) — demonstrating the paper's claim that
+TurboAttention slots into existing attention schedulers.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Collection, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Collection, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.attention.masks import causal_mask_block
+from repro.attention.reference import reference_attention
 from repro.attention.split_k import split_k_chunks
 from repro.core.buffer import DecodeBuffer
 from repro.core.config import TurboConfig
@@ -57,8 +59,6 @@ __all__ = [
     "turbo_decode_steps",
     "turbo_decode_step_split_k",
 ]
-
-Span = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 _INT32_MAX = np.iinfo(np.int32).max
 
@@ -106,11 +106,12 @@ class _KeyRow:
     INT8 code exactly, shape ``(hkv, capacity, d)``.  Segment ``j`` (a
     prefill tile, a cache block or the decode buffer) covers the
     ``lens[j]`` columns after the segments before it, with one scalar
-    scale per KV head in ``k_scales[..., j]`` and ``v_scales[..., j]``;
-    ``k_mag``/``v_mag`` are the largest code magnitudes held.  A row
-    changes only at its end: :meth:`append` adds a segment,
-    :meth:`extend` adds columns to the last one, and :meth:`pop` drops
-    the last one so that the next write takes its columns.
+    scale per KV head in ``k_scales[..., j]`` and ``v_scales[..., j]``
+    and its own largest code magnitudes; ``k_mag``/``v_mag`` are the
+    largest over the row.  A row changes only at its end: :meth:`append`
+    adds a segment, :meth:`extend` adds columns to the last one, and
+    :meth:`pop` drops the last one so that the next write takes its
+    columns.  :meth:`view` reads a range of segments as a row of its own.
     """
 
     def __init__(self, hkv: int, d: int, capacity: int, segments: int):
@@ -120,33 +121,24 @@ class _KeyRow:
         self.v_scales = np.empty((hkv, 1, 1, segments))
         self.lens: List[int] = []
         self.n_keys = 0
-        # Running maxima: entry j is the largest (|K|, |V|) code of
-        # segments 0..j, so dropping the last segment restores the rest.
-        self._mags: List[Tuple[int, int]] = []
-
-    @classmethod
-    def of_spans(cls, spans: Sequence[Span]) -> "_KeyRow":
-        """The spans, in key order, concatenated into one row."""
-        hkv, _, d = spans[0][0].shape
-        row = cls(hkv, d, sum(span[0].shape[-2] for span in spans), len(spans))
-        for span in spans:
-            row.append(*span)
-        return row
+        self._mags: List[Tuple[int, int]] = []  # per segment: largest |K|, |V| code
 
     @property
     def k_mag(self) -> int:
-        return self._mags[-1][0] if self._mags else 0
+        return max((k for k, _ in self._mags), default=0)
 
     @property
     def v_mag(self) -> int:
-        return self._mags[-1][1] if self._mags else 0
+        return max((v for _, v in self._mags), default=0)
 
-    def _write(self, k_codes: np.ndarray, v_codes: np.ndarray) -> Tuple[int, int]:
+    def _write(
+        self, k_codes: np.ndarray, v_codes: np.ndarray, k_mag: int, v_mag: int
+    ) -> Tuple[int, int]:
         c0 = self.n_keys
         self.n_keys += k_codes.shape[-2]
         self.k[:, 0, :, c0 : self.n_keys] = np.swapaxes(k_codes, -1, -2)
         self.v[:, c0 : self.n_keys] = v_codes
-        return max(self.k_mag, code_magnitude(k_codes)), max(self.v_mag, code_magnitude(v_codes))
+        return max(k_mag, code_magnitude(k_codes)), max(v_mag, code_magnitude(v_codes))
 
     def append(
         self, k_codes: np.ndarray, v_codes: np.ndarray, k_scale: np.ndarray, v_scale: np.ndarray
@@ -155,12 +147,12 @@ class _KeyRow:
         j = len(self.lens)
         self.k_scales[..., j] = np.reshape(k_scale, self.k_scales.shape[:-1])
         self.v_scales[..., j] = np.reshape(v_scale, self.v_scales.shape[:-1])
-        self._mags.append(self._write(k_codes, v_codes))
+        self._mags.append(self._write(k_codes, v_codes, 0, 0))
         self.lens.append(k_codes.shape[-2])
 
     def extend(self, k_codes: np.ndarray, v_codes: np.ndarray) -> None:
         """Add columns to the last segment, under its scales."""
-        self._mags[-1] = self._write(k_codes, v_codes)
+        self._mags[-1] = self._write(k_codes, v_codes, *self._mags[-1])
         self.lens[-1] += k_codes.shape[-2]
 
     def pop(self) -> None:
@@ -168,26 +160,15 @@ class _KeyRow:
         self.n_keys -= self.lens.pop()
         self._mags.pop()
 
-    def spans(self) -> List[Span]:
-        """The segments as ``(k_codes, v_codes, k_scale, v_scale)`` spans,
-        the form :func:`_attend_loop` and the FP16 reference step read.
-
-        The codes are C-ordered copies: BLAS picks its float kernel by
-        operand layout, so the float paths over them round as they do over
-        the spans of :func:`_gather_spans`."""
-        spans = []
-        c1 = 0
-        for j, n in enumerate(self.lens):
-            c0, c1 = c1, c1 + n
-            spans.append(
-                (
-                    np.ascontiguousarray(np.swapaxes(self.k[:, 0, :, c0:c1], -1, -2)),
-                    self.v[:, c0:c1].astype(np.int8),
-                    self.k_scales[..., j],
-                    self.v_scales[..., j],
-                )
-            )
-        return spans
+    def view(self, lo: int, hi: int) -> "_KeyRow":
+        """Segments ``lo`` to ``hi - 1`` as a row over views of this row's
+        arrays (a split-K chunk), with their own code magnitudes."""
+        c0, c1 = sum(self.lens[:lo]), sum(self.lens[:hi])
+        part = _KeyRow.__new__(_KeyRow)
+        part.k, part.v = self.k[..., c0:c1], self.v[:, c0:c1]
+        part.k_scales, part.v_scales = self.k_scales[..., lo:hi], self.v_scales[..., lo:hi]
+        part.lens, part.n_keys, part._mags = self.lens[lo:hi], c1 - c0, self._mags[lo:hi]
+        return part
 
 
 class _DecodeRow(_KeyRow):
@@ -252,7 +233,7 @@ def _attend_tiles(
     ``q`` has shape ``(hkv, g, n, d)`` and is quantized in tiles of
     ``block_q`` rows; ``row`` holds the K/V code segments in key order,
     with one scalar scale per segment and KV head (see :class:`_KeyRow`:
-    prefill's tiles concatenated once, or decode's resident row).  Each
+    prefill's tiles, decode's resident row or a split-K range of it).  Each
     query tile attends over a prefix of the segments: all of them, or
     with ``causal_offset`` (``n_keys - n`` of a causal prefill) those
     that start at or before its last row, under the causal additive
@@ -375,14 +356,18 @@ def _attend_tiles(
 
 
 def _dequantize(codes: np.ndarray, scale: np.ndarray) -> np.ndarray:
-    """Float view ``codes * scale`` of a span's INT8 codes."""
-    return codes.astype(np.float64) * np.reshape(scale, (codes.shape[0], 1, 1))
+    """``codes * scale`` as a C-ordered ``(hkv, keys, d)`` float64 array.
+
+    The row keeps K keys-last, but BLAS picks its float kernel by operand
+    layout, so the FP16 paths copy K into this layout: over it they round
+    as they do over codes decompressed block by block."""
+    return codes.astype(np.float64, order="C") * scale
 
 
 def _attend_loop(
     q: np.ndarray,
     block_q: int,
-    spans: Sequence[Span],
+    row: _KeyRow,
     exp: Callable[[np.ndarray], np.ndarray],
     scale: float,
     config: TurboConfig,
@@ -390,22 +375,24 @@ def _attend_loop(
     guard: Optional[GuardConfig] = None,
     report: Optional[GuardReport] = None,
     floats: Optional[Sequence[Tuple[np.ndarray, np.ndarray]]] = None,
-    fp16_spans: Collection[int] = (),
+    fp16_segments: Collection[int] = (),
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Loop twin of :func:`_attend_tiles`: the same recursion and result,
     one (query tile, segment) pair at a time.
 
     It is both kernels' guard, FP16-MatMul and int32 fallback path, and
     takes the core's arguments (``config`` in place of ``mc``) plus the
-    guard's and the FP16 path's.  A pair's two MatMuls are integer GEMMs, guarded by the accumulator
-    headroom check under ``guard``, unless ``quantize_matmuls`` is off,
-    the guard flagged its query tile, or its segment is in
-    ``fp16_spans``; then they run in FP16 over ``floats[j]`` (prefill's
-    sanitized float K/V tiles) or, without ``floats``, over the
-    dequantized codes.  The guard screens inputs in loop order where they
-    can still be repaired: with ``floats`` each query tile (the K/V tiles
-    were screened when quantized), without them each stored segment's
-    scales (the codes are integers and cannot be non-finite).
+    guard's and the FP16 path's.  It walks ``row.lens`` and reads each
+    segment's codes and scales in place.  A pair's two MatMuls are
+    integer GEMMs, guarded by the accumulator headroom check under
+    ``guard``, unless ``quantize_matmuls`` is off, the guard flagged its
+    query tile, or its segment is in ``fp16_segments``; then they run in
+    FP16 over ``floats[j]`` (prefill's sanitized float K/V tiles) or,
+    without ``floats``, over the dequantized codes.  The guard screens
+    inputs in loop order where they can still be repaired: with
+    ``floats`` each query tile (the K/V tiles were screened when
+    quantized), without them each stored segment's scales (the codes are
+    integers and cannot be non-finite).
     """
     hkv, g, n, d = q.shape
     mc = config.int8_max_code
@@ -427,23 +414,25 @@ def _attend_loop(
         l = np.zeros((hkv, g, qe - qs))
         acc = np.zeros((hkv, g, qe - qs, d))
         ke = 0
-        for j, (k_codes, v_codes, k_scale, v_scale) in enumerate(spans):
-            ks, ke = ke, ke + k_codes.shape[-2]
+        for j, n_j in enumerate(row.lens):
+            ks, ke = ke, ke + n_j
             if causal_offset is not None and ks > qe - 1 + causal_offset:
                 break
+            k_scale, v_scale = row.k_scales[..., j], row.v_scales[..., j]
             where = f"span {j}" if floats is None else f"q{t} k{j}"
             if guard is not None and floats is None:
                 k_scale = check_scale(k_scale, f"decode span {j} k scale", guard, report)
                 v_scale = check_scale(v_scale, f"decode span {j} v scale", guard, report)
-            fp16 = fp16_tile or j in fp16_spans
+            fp16 = fp16_tile or j in fp16_segments
             if fp16:
                 if floats is None:
-                    k_f, v_f = _dequantize(k_codes, k_scale), _dequantize(v_codes, v_scale)
+                    k_f = _dequantize(np.swapaxes(row.k[:, 0, :, ks:ke], -1, -2), k_scale)
+                    v_f = _dequantize(row.v[:, ks:ke], v_scale)
                 else:
                     k_f, v_f = floats[j]
                 s_tile = fp16_matmul(q_tile, np.swapaxes(k_f, -1, -2)[:, None, :, :]) * scale
             else:
-                kT = np.swapaxes(k_codes, -1, -2)[:, None, :, :]
+                kT = row.k[..., ks:ke]
                 gemm = int_matmul(qc, kT) if guard is None else guarded_int_matmul(
                     qc, kT, f"{kernel} qk {where}", guard, report
                 )
@@ -460,7 +449,7 @@ def _attend_loop(
                 pv = fp16_matmul(p, v_f[:, None, :, :])
             else:
                 pc, p_scale = quantize_tile(p, mc)
-                vc = v_codes[:, None, :, :]
+                vc = row.v[:, None, ks:ke].astype(np.int8)
                 gemm = int_matmul(pc, vc) if guard is None else guarded_int_matmul(
                     pc, vc, f"{kernel} pv {where}", guard, report
                 )
@@ -476,7 +465,7 @@ def _attend_loop(
 def _attend(
     q: np.ndarray,
     block_q: int,
-    keys: Union[_KeyRow, Sequence[Span]],
+    row: _KeyRow,
     exp: Callable[[np.ndarray], np.ndarray],
     scale: float,
     config: TurboConfig,
@@ -484,48 +473,23 @@ def _attend(
     guard: Optional[GuardConfig] = None,
     report: Optional[GuardReport] = None,
     floats: Optional[Sequence[Tuple[np.ndarray, np.ndarray]]] = None,
-    fp16_spans: Collection[int] = (),
+    fp16_segments: Collection[int] = (),
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Attention for both kernels over ``keys``: a :class:`_KeyRow`
-    (decode's resident row) or the spans in key order (prefill's tiles, a
-    split-K chunk).
+    """Attention for both kernels over a :class:`_KeyRow`: prefill's
+    tiles, decode's resident row or a split-K range of it.
 
     The flattened core :func:`_attend_tiles` runs when no guard runs, both
-    MatMuls are INT8 and the core's int32 bound holds, reading the keys as
-    a row (spans are concatenated into one); else :func:`_attend_loop`
-    (which takes the same arguments) reads them as spans (a row yields its
-    segments).  Returns ``(out (hkv, g, n, d), lse (hkv, g, n))``,
-    normalized; decode's one-row ``(out, lse)`` partials are the mergeable
-    split-K contract."""
-    is_row = isinstance(keys, _KeyRow)
+    MatMuls are INT8 and the core's int32 bound holds; else
+    :func:`_attend_loop`, which takes the same arguments.  Returns
+    ``(out (hkv, g, n, d), lse (hkv, g, n))``, normalized; decode's
+    one-row ``(out, lse)`` partials are the mergeable split-K contract."""
     if guard is None and config.quantize_matmuls:
-        row = keys if is_row else _KeyRow.of_spans(keys)
         flat = _attend_tiles(q, block_q, row, exp, scale, config.int8_max_code, causal_offset)
         if flat is not None:
             return flat
     return _attend_loop(
-        q, block_q, keys.spans() if is_row else keys, exp, scale, config, causal_offset,
-        guard, report, floats, fp16_spans,
+        q, block_q, row, exp, scale, config, causal_offset, guard, report, floats, fp16_segments
     )
-
-
-def _gather_spans(cache: QuantizedKVCache, buffer: DecodeBuffer) -> List[Span]:
-    """The spans a decode step attends over: every cache block
-    decompressed to INT8, then the buffer's codes (the split-K path's
-    input, and the oracle of :class:`_DecodeRow`)."""
-    spans = [
-        (
-            pq_decompress_to_int8(block.k),
-            pq_decompress_to_int8(block.v),
-            block.k.float_scale,
-            block.v.float_scale,
-        )
-        for block in cache.blocks
-    ]
-    buf_k, buf_v = buffer.codes()
-    if buf_k.shape[-2] > 0:
-        spans.append((buf_k, buf_v, buffer.k_scale, buffer.v_scale))
-    return spans
 
 
 def _stage_token(
@@ -570,25 +534,23 @@ def _query_groups(hq: int, cache: QuantizedKVCache) -> Tuple[int, int]:
     return hkv, hq // hkv
 
 
-def _reference_step_from_spans(
-    spans: Sequence[Span],
-    q: np.ndarray,
-    scale: float,
-) -> np.ndarray:
-    """FP16-reference decode: dequantize every span and run exact softmax
-    attention — the fallback path for a guard-flagged step.
+def _reference_step(row: _KeyRow, q: np.ndarray, scale: float) -> np.ndarray:
+    """FP16-reference decode: exact softmax attention
+    (:func:`~repro.attention.reference.reference_attention`) over the
+    dequantized row — the fallback path for a guard-flagged step.
 
     The cache stores only codes + scales, so ``codes * scale`` *is* the
     reference-precision view of the history; what this path removes is the
     integer score/output arithmetic and SAS for the poisoned step.
     """
-    k_f = np.concatenate([_dequantize(c, s) for c, _, s, _ in spans], axis=-2)
-    v_f = np.concatenate([_dequantize(c, s) for _, c, _, s in spans], axis=-2)
-    s = (q @ np.swapaxes(k_f, -1, -2)[:, None, :, :]) * scale
-    m = s.max(axis=-1, keepdims=True)
-    p = np.exp(s - m)
-    p = p / p.sum(axis=-1, keepdims=True)
-    return p @ v_f[:, None, :, :]
+    hkv, n = row.k.shape[0], row.n_keys
+
+    def per_key(scales: np.ndarray) -> np.ndarray:  # each segment's, over its keys
+        return np.repeat(scales[..., : len(row.lens)], row.lens, axis=-1).reshape(hkv, n, 1)
+
+    k = _dequantize(np.swapaxes(row.k[:, 0, :, :n], -1, -2), per_key(row.k_scales))
+    v = _dequantize(row.v[:, :n], per_key(row.v_scales))
+    return reference_attention(q, k[:, None], v[:, None], scale=scale)
 
 
 def turbo_decode_step(
@@ -708,7 +670,7 @@ def turbo_decode_steps(
         if fallback:
             report.fallback_steps += 1
             report.record("fallback_step:decode")
-            step_out = _reference_step_from_spans(row.spans(), q, scale)
+            step_out = _reference_step(row, q, scale)
         else:
             step_out, _lse = _attend(q, 1, row, exp, scale, config, guard=guard, report=report)
         out[t] = step_out.reshape(hq, d)
@@ -725,8 +687,10 @@ def turbo_decode_step_split_k(
     n_splits: int = 4,
     scale: Optional[float] = None,
 ) -> np.ndarray:
-    """Split-K decode: the cache's spans are partitioned across
-    ``n_splits`` independent workers whose partials merge exactly.
+    """Split-K decode: the segments of one decode row (the cache blocks,
+    then the buffer) are partitioned across ``n_splits`` independent
+    workers, each reading its range as a view of the row, whose partials
+    merge exactly.
 
     Identical output (up to float addition order) to
     :func:`turbo_decode_step`; exists to demonstrate — and test — that the
@@ -741,11 +705,12 @@ def turbo_decode_step_split_k(
         scale = 1.0 / np.sqrt(d)
     _stage_token(k_t, v_t, cache, buffer)
     exp = _exp_fn(config)
-    spans = _gather_spans(cache, buffer)
+    row = _DecodeRow(cache, buffer, 0)
     q = q_t.reshape(hkv, g, 1, d)
+    segments = len(row.lens)
     merged, _ = split_k_chunks(
-        lambda lo, hi: _attend(q, 1, spans[lo:hi], exp, scale, config),
-        len(spans),
-        min(n_splits, len(spans)),
+        lambda lo, hi: _attend(q, 1, row.view(lo, hi), exp, scale, config),
+        segments,
+        min(n_splits, segments),
     )
     return merged.reshape(hq, d)

@@ -14,10 +14,11 @@ The flash-attention tiling loop with three changes:
    whenever the buffer fills, exactly as decode does).
 
 The attention itself is :func:`repro.core.decode._attend`, shared with the
-decode kernel: the flattened INT8 core, or its loop twin under a guard, the
-FP16-MatMul ablation or a failed int32 bound.  Prefill passes the loop its
-sanitized float tiles, so a guard-flagged query or K/V tile runs its
-MatMuls in FP16 over them.
+decode kernel and reading the same key format: the INT8 tiles are written
+once into one :class:`~repro.core.decode._KeyRow`, and the flattened INT8
+core reads it, or its loop twin under a guard, the FP16-MatMul ablation or
+a failed int32 bound.  Prefill passes the loop its sanitized float tiles,
+so a guard-flagged query or K/V tile runs its MatMuls in FP16 over them.
 
 Grouped-query attention is supported: ``q`` may carry ``G`` query heads per
 KV head; the kernel broadcasts K/V across the group while the cache stores
@@ -33,13 +34,13 @@ scaling, i.e. exactly what the Triton kernel in the paper executes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
 from repro.core.buffer import DecodeBuffer
 from repro.core.config import TurboConfig
-from repro.core.decode import _attend, _exp_fn, quantize_tile
+from repro.core.decode import _attend, _exp_fn, _KeyRow, quantize_tile
 from repro.core.kvcache import QuantizedKVCache
 from repro.guard.numerics import check_finite_tile, check_scale
 from repro.guard.report import GuardConfig, GuardReport
@@ -138,39 +139,33 @@ def turbo_prefill(
     qg = q.reshape(hkv, g, n, d)
     bq, bk = config.block_q, config.block_k
 
-    # --- Pass 0: quantize K/V tiles once; codes serve compute AND storage.
-    # Under a guard each float tile is screened first (a single NaN would
-    # otherwise poison the tile's absmax and hence every code in it); the
-    # sanitized floats are kept for the FP16 fallback path and the tail.
-    # Unguarded, all full tiles quantize in ONE batched call — the tile
-    # statistics reduce over the trailing (tokens, channels) axes, so a
-    # stacked leading tile axis yields bit-identical scales and codes.
-    k_tiles: List[Tuple[np.ndarray, np.ndarray]] = []
-    v_tiles: List[Tuple[np.ndarray, np.ndarray]] = []
-    f_tiles: List[Tuple[np.ndarray, np.ndarray]] = []
-    bad_kv: set = set()
+    # --- Pass 0: quantize K/V tiles once into one key row; the codes serve
+    # compute AND storage.  Under a guard each float tile is screened first
+    # (a single NaN would otherwise poison the tile's absmax and hence every
+    # code in it); the sanitized floats are kept for the FP16 fallback path
+    # and the tail.  Unguarded, all full tiles quantize in ONE batched call
+    # — the tile statistics reduce over the trailing (tokens, channels)
+    # axes, so a stacked leading tile axis yields bit-identical scales and
+    # codes — and those stacks are the cache's blocks as they stand.
     bounds = [(s, min(s + bk, nk)) for s in range(0, nk, bk)]
     n_full = nk // bk
+    f_tiles = [(k[:, ks:ke, :], v[:, ks:ke, :]) for ks, ke in bounds]
+    bad_kv: set = set()
     if guard is None:
-        if n_full:
-            k_stack = (
-                k[:, : n_full * bk, :].reshape(hkv, n_full, bk, d).transpose(1, 0, 2, 3)
+        (kc, ksc), (vc, vsc) = (
+            quantize_tile(
+                x[:, : n_full * bk, :].reshape(hkv, n_full, bk, d).transpose(1, 0, 2, 3), mc
             )
-            v_stack = (
-                v[:, : n_full * bk, :].reshape(hkv, n_full, bk, d).transpose(1, 0, 2, 3)
-            )
-            kc_all, ksc_all = quantize_tile(k_stack, mc)
-            vc_all, vsc_all = quantize_tile(v_stack, mc)
-            k_tiles = [(kc_all[j], ksc_all[j]) for j in range(n_full)]
-            v_tiles = [(vc_all[j], vsc_all[j]) for j in range(n_full)]
+            for x in (k, v)
+        )
+        blocks = (kc, vc, ksc, vsc)
+        tiles = list(zip(*blocks))
         if n_full * bk < nk:
-            k_tiles.append(quantize_tile(k[:, n_full * bk :, :], mc))
-            v_tiles.append(quantize_tile(v[:, n_full * bk :, :], mc))
-        f_tiles = [(k[:, ks:ke, :], v[:, ks:ke, :]) for ks, ke in bounds]
+            (kc, ksc), (vc, vsc) = (quantize_tile(x[:, n_full * bk :, :], mc) for x in (k, v))
+            tiles.append((kc, vc, ksc, vsc))
     else:
-        for j, (ks, ke) in enumerate(bounds):
-            kt = k[:, ks:ke, :]
-            vt = v[:, ks:ke, :]
+        tiles = []
+        for j, (kt, vt) in enumerate(f_tiles):
             kt, fb_k = check_finite_tile(kt, f"prefill k tile {j}", guard, report)
             vt, fb_v = check_finite_tile(vt, f"prefill v tile {j}", guard, report)
             if fb_k or fb_v:
@@ -180,9 +175,12 @@ def turbo_prefill(
             vc, vsc = quantize_tile(vt, mc)
             ksc = check_scale(ksc, f"prefill k scale tile {j}", guard, report)
             vsc = check_scale(vsc, f"prefill v scale tile {j}", guard, report)
-            k_tiles.append((kc, ksc))
-            v_tiles.append((vc, vsc))
-            f_tiles.append((kt, vt))
+            tiles.append((kc, vc, ksc, vsc))
+            f_tiles[j] = (kt, vt)
+        blocks = [np.stack(part) for part in zip(*tiles[:n_full])]
+    row = _KeyRow(hkv, d, nk, len(tiles))
+    for tile in tiles:
+        row.append(*tile)
 
     # --- Storage: full blocks go to the cache; the ragged tail to the buffer.
     cache = QuantizedKVCache(hkv, d, head_bits=head_bits, block_size=bk)
@@ -195,12 +193,7 @@ def turbo_prefill(
         k_scale=k_univ, v_scale=v_univ, clamp_code=config.clamp_code,
     )
     if n_full:
-        cache.append_blocks(
-            np.stack([t[0] for t in k_tiles[:n_full]]),
-            np.stack([t[0] for t in v_tiles[:n_full]]),
-            np.stack([t[1].reshape(hkv, 1, 1) for t in k_tiles[:n_full]]),
-            np.stack([t[1].reshape(hkv, 1, 1) for t in v_tiles[:n_full]]),
-        )
+        cache.append_blocks(*blocks)
     if n_full * bk < nk:
         # A tail longer than the buffer is staged the way decode stages
         # tokens: a full buffer flushes into a cache block first.
@@ -212,10 +205,9 @@ def turbo_prefill(
             buffer.extend(tail_k[:, ts : ts + nb, :], tail_v[:, ts : ts + nb, :])
 
     # --- Compute: tiled online-softmax attention on the INT8 codes.
-    spans = [(kc, vc, ksc, vsc) for (kc, ksc), (vc, vsc) in zip(k_tiles, v_tiles)]
     out, lse = _attend(
-        qg, bq, spans, exp, scale, config, offset if causal else None,
-        guard, report, floats=f_tiles, fp16_spans=bad_kv,
+        qg, bq, row, exp, scale, config, offset if causal else None,
+        guard, report, floats=f_tiles, fp16_segments=bad_kv,
     )
 
     return PrefillResult(

@@ -23,6 +23,7 @@ import numpy as np
 from repro.attention.masks import causal_mask_block
 from repro.core.buffer import DecodeBuffer
 from repro.core.config import TurboConfig
+from repro.core.decode import _KeyRow
 from repro.core.kvcache import QuantizedKVCache
 from repro.core.prefill import _exp_fn, quantize_tile
 from repro.core.serialization import state_digest, state_to_arrays
@@ -35,6 +36,7 @@ __all__ = [
     "ODD_PAYLOAD_GEOMETRY",
     "assert_same_payload",
     "gather_spans",
+    "key_row",
     "naive_int_matmul",
     "reference_decode_attend",
     "reference_miniature_payload",
@@ -210,6 +212,17 @@ def gather_spans(
     if buf_k.shape[-2] > 0:
         spans.append((buf_k, buf_v, buffer.k_scale, buffer.v_scale))
     return spans
+
+
+def key_row(
+    spans: Sequence[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]
+) -> _KeyRow:
+    """A fresh key row holding ``spans`` in key order, one segment each."""
+    hkv, _, d = spans[0][0].shape
+    row = _KeyRow(hkv, d, sum(span[0].shape[-2] for span in spans), len(spans))
+    for span in spans:
+        row.append(*span)
+    return row
 
 
 #: A payload geometry where no dimension is a power of two or equal to

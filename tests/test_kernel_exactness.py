@@ -24,7 +24,7 @@ from hypothesis import given, settings, strategies as st
 from repro.attention.reference import reference_attention
 from repro.core import decode as core_decode
 from repro.core.config import TurboConfig
-from repro.core.decode import _gather_spans, turbo_decode_step, turbo_decode_steps
+from repro.core.decode import turbo_decode_step, turbo_decode_steps
 from repro.core.prefill import turbo_prefill
 from repro.core.serialization import state_from_arrays, state_to_arrays
 from repro.core.turbo import TurboKVState
@@ -197,7 +197,7 @@ def test_decode_step_matches_span_oracle(
         out = turbo_decode_step(q_t, k_t, v_t, cache, buffer, config)
         # The step just appended (k_t, v_t); the oracle sees the same
         # spans the kernel attended over.
-        spans = _gather_spans(cache, buffer)
+        spans = gather_spans(cache, buffer)
         ref_out, _ref_lse = reference_decode_attend(spans, q_t, hkv, config)
         assert np.array_equal(out, ref_out)
         assert len(gemm_calls) == (1 if int32_max is None else 2 * len(spans))
@@ -206,7 +206,7 @@ def test_decode_step_matches_span_oracle(
 
 def _check_resident_rows(monkeypatch, cache, buffer, config):
     """Patch the core so that each decode row it reads is checked against
-    the spans ``_gather_spans`` builds from the cache and buffer at that
+    the spans ``gather_spans`` builds from the cache and buffer at that
     moment (codes, lengths, scales and code magnitudes), and each step's
     result against the per-span loop oracle over those spans.  Returns
     the list of checked steps."""
@@ -215,7 +215,7 @@ def _check_resident_rows(monkeypatch, cache, buffer, config):
 
     def checking(q, block_q, row, *args):
         result = core(q, block_q, row, *args)
-        spans = _gather_spans(cache, buffer)
+        spans = gather_spans(cache, buffer)
         hkv, g, _, d = q.shape
         n, nseg = row.n_keys, len(spans)
         assert row.lens == [span[0].shape[-2] for span in spans]
@@ -345,7 +345,7 @@ def test_core_widens_pv_past_float32_bound():
         q_t = rng.standard_normal((hq, d))
         out = turbo_decode_step(q_t, key[:, 0], np.full((hkv, d), 2.0), res.cache, res.buffer,
                                 config)
-        ref, _ = reference_decode_attend(_gather_spans(res.cache, res.buffer), q_t, hkv, config)
+        ref, _ = reference_decode_attend(gather_spans(res.cache, res.buffer), q_t, hkv, config)
         assert np.array_equal(out, ref)
 
 
@@ -779,7 +779,7 @@ def test_kernel_config_space_matches_loop_oracles(draw):
         v_t = rng.standard_normal((hkv, d))
         out = turbo_decode_step(q_t, k_t, v_t, cache, buffer, config, guard=guard)
         if exact:
-            ref, _ = reference_decode_attend(_gather_spans(cache, buffer), q_t, hkv, config)
+            ref, _ = reference_decode_attend(gather_spans(cache, buffer), q_t, hkv, config)
             assert np.array_equal(out, ref)
     assert cache.seq_len + len(buffer) == draw["n_keys"] + draw["steps"]
     assert all(0 < block.length <= config.block_k for block in cache.blocks)

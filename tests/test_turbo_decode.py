@@ -8,6 +8,8 @@ from repro.core import TurboAttention, TurboConfig
 from repro.core import decode as core_decode
 from repro.core import prefill as core_prefill
 
+from tests._reference_kernels import gather_spans, key_row
+
 
 @pytest.fixture
 def prefilled(rng):
@@ -139,9 +141,9 @@ class TestDecodeAccuracy:
         for _ in range(40):  # through a buffer flush
             q1, k1, v1 = (rng.standard_normal((h, d)) for _ in range(3))
             out = turbo.decode_step(q1, k1, v1, state)
-            spans = core_decode._gather_spans(state.cache, state.buffer)
-            expected = core_decode._reference_step_from_spans(
-                spans, q1.reshape(h, 1, 1, d), 1.0 / np.sqrt(d)
+            spans = gather_spans(state.cache, state.buffer)
+            expected = core_decode._reference_step(
+                key_row(spans), q1.reshape(h, 1, 1, d), 1.0 / np.sqrt(d)
             ).reshape(h, d)
             rel = np.linalg.norm(out - expected) / np.linalg.norm(expected)
             assert rel < 5e-3
