@@ -9,7 +9,10 @@ from hypothesis import given, settings, strategies as st
 from repro.attention.reference import reference_attention
 from repro.attention.split_k import merge_partials, split_k_decode
 from repro.core import TurboAttention, TurboConfig
+from repro.core import decode as core_decode
 from repro.core.decode import turbo_decode_step_split_k
+
+from tests._reference_kernels import gather_spans, key_row
 
 
 class TestMergePartials:
@@ -137,3 +140,39 @@ class TestTurboSplitK:
         )
         assert state.seq_len == state2.seq_len
         assert len(state.buffer) == len(state2.buffer)
+
+    @pytest.mark.parametrize("quantize_matmuls", [True, False], ids=["int8-core", "fp16-loop"])
+    def test_every_segment_range_reads_as_a_fresh_row(self, quantize_matmuls):
+        # A split-K chunk reads its range of the decode row in place.  For
+        # every segment range [lo, hi) of a row holding blocks of two
+        # lengths and a buffer, attention over the range's view equals,
+        # byte for byte, attention over a fresh row of the same gathered
+        # spans; the view's code magnitudes (and hence its int32 bound)
+        # are the range's own.
+        rng = np.random.default_rng(61)
+        hq, hkv, d = 4, 2, 16
+        config = TurboConfig(
+            block_q=16, block_k=16, buffer_size=12, quantize_matmuls=quantize_matmuls
+        )
+        turbo = TurboAttention(config)
+        q, k, v = rng.standard_normal((hq, 100, d)), *rng.standard_normal((2, hkv, 100, d))
+        # K outliers in one block set the buffer's frozen scale, so the
+        # codes staged after the prompt stay far below the blocks' codes.
+        k[:, 40:48] *= 30.0
+        _, state = turbo.prefill(q, k, v)
+        for _ in range(11):  # the buffer flushes a 12-token block, then holds 3
+            q1 = rng.standard_normal((hq, d))
+            k1, v1 = rng.standard_normal((2, hkv, d))
+            turbo.decode_step(q1, k1, v1, state)
+        row = core_decode._DecodeRow(state.cache, state.buffer, 0)
+        spans = gather_spans(state.cache, state.buffer)
+        assert [span[0].shape[-2] for span in spans] == [16] * 6 + [12, 3]
+        q_t = rng.standard_normal((hkv, hq // hkv, 1, d))
+        exp, scale = core_decode._exp_fn(config), 1.0 / np.sqrt(d)
+        for lo in range(len(spans)):
+            for hi in range(lo + 1, len(spans) + 1):
+                view, fresh = row.view(lo, hi), key_row(spans[lo:hi])
+                assert (view.k_mag, view.v_mag) == (fresh.k_mag, fresh.v_mag)
+                got = core_decode._attend(q_t, 1, view, exp, scale, config)
+                want = core_decode._attend(q_t, 1, fresh, exp, scale, config)
+                assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
