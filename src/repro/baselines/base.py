@@ -18,7 +18,10 @@ low-rank factors).
 
 Shapes follow the core kernels: ``q`` is ``(q_heads, n, d)``, ``k``/``v``
 are ``(kv_heads, n, d)`` with ``q_heads`` a multiple of ``kv_heads``;
-decode vectors drop the token axis.
+decode vectors drop the token axis.  Grouped-query attention broadcasts:
+each KV head serves its group of query heads, so ``_attend`` sees
+``(kv_heads, group, n, d)`` queries against ``(kv_heads, 1, n, d)`` keys
+and values, and no K/V head is copied.
 """
 
 from __future__ import annotations
@@ -32,17 +35,7 @@ from repro.attention.flash import flash_attention
 from repro.core.state import DecodeState
 from repro.fp.formats import FP16, quantize_to_format
 
-__all__ = ["AttentionBackend", "DecodeState", "WindowedState", "gqa_expand"]
-
-
-def gqa_expand(x: np.ndarray, q_heads: int) -> np.ndarray:
-    """Repeat KV heads so ``x`` matches ``q_heads`` (grouped-query attn)."""
-    kv_heads = x.shape[0]
-    if q_heads == kv_heads:
-        return x
-    if q_heads % kv_heads != 0:
-        raise ValueError(f"q_heads {q_heads} not a multiple of kv_heads {kv_heads}")
-    return np.repeat(x, q_heads // kv_heads, axis=0)
+__all__ = ["AttentionBackend", "DecodeState", "WindowedState"]
 
 
 class WindowedState(DecodeState):
@@ -138,7 +131,7 @@ class AttentionBackend(abc.ABC):
         """Process the prompt; return ``(output, state)``."""
         k = np.asarray(k, dtype=np.float64)
         v = np.asarray(v, dtype=np.float64)
-        out = self._attend(np.asarray(q, dtype=np.float64), k, v, causal, scale)
+        out = self._attend_grouped(np.asarray(q, dtype=np.float64), k, v, causal, scale)
         state = self._new_state(k.shape[0], k.shape[-1])
         state.ingest(k, v)
         return out, state
@@ -159,7 +152,24 @@ class AttentionBackend(abc.ABC):
         )
         k, v = state.dequantized()
         q = np.asarray(q_t, dtype=np.float64)[:, None, :]
-        return self._attend(q, k, v, False, scale)[:, 0, :]
+        return self._attend_grouped(q, k, v, False, scale)[:, 0, :]
+
+    def _attend_grouped(
+        self,
+        q: np.ndarray,
+        k: np.ndarray,
+        v: np.ndarray,
+        causal: bool,
+        scale: Optional[float],
+    ) -> np.ndarray:
+        """:meth:`_attend` with each query head's group broadcast over its
+        KV head; returns ``(q_heads, n, d)``."""
+        hq, n, d = q.shape
+        hkv = k.shape[0]
+        if hq % hkv != 0:
+            raise ValueError(f"q_heads {hq} not a multiple of kv_heads {hkv}")
+        out = self._attend(q.reshape(hkv, hq // hkv, n, d), k[:, None], v[:, None], causal, scale)
+        return out.reshape(hq, n, d)
 
     def _attend(
         self,
@@ -170,6 +180,4 @@ class AttentionBackend(abc.ABC):
         scale: Optional[float],
     ) -> np.ndarray:
         """Exact FP16 flash attention over explicit K/V arrays."""
-        k = gqa_expand(k, q.shape[0])
-        v = gqa_expand(v, q.shape[0])
         return flash_attention(q, k, v, causal=causal, scale=scale, emulate_fp16=True)

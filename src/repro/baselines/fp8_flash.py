@@ -19,7 +19,7 @@ from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from repro.baselines.base import AttentionBackend, WindowedState, gqa_expand
+from repro.baselines.base import AttentionBackend, WindowedState
 from repro.fp.fp8 import FP8_E4M3, fp8_tile_quantize
 from repro.attention.masks import causal_mask_block
 from repro.attention.online_softmax import OnlineSoftmaxState
@@ -69,8 +69,6 @@ class FP8Attention(AttentionBackend):
     def _attend(
         self, q: np.ndarray, k: np.ndarray, v: np.ndarray, causal: bool, scale: Optional[float]
     ) -> np.ndarray:
-        k = gqa_expand(k, q.shape[0])
-        v = gqa_expand(v, q.shape[0])
         n_q, d = q.shape[-2], q.shape[-1]
         n_k = k.shape[-2]
         sm_scale = scale if scale is not None else 1.0 / np.sqrt(d)
@@ -78,19 +76,19 @@ class FP8Attention(AttentionBackend):
         out = np.zeros_like(q)
         for qs in range(0, n_q, self.tile):
             qe = min(qs + self.tile, n_q)
-            q8, q_sc = fp8_tile_quantize(q[:, qs:qe, :], FP8_E4M3)
+            q8, q_sc = fp8_tile_quantize(q[..., qs:qe, :], FP8_E4M3)
             state = OnlineSoftmaxState.initial(q.shape[:-2], qe - qs, d_v=d)
             for ks in range(0, n_k, self.tile):
                 ke = min(ks + self.tile, n_k)
                 if causal and ks > qe - 1 + offset:
                     break
-                k8, k_sc = fp8_tile_quantize(k[:, ks:ke, :], FP8_E4M3)
+                k8, k_sc = fp8_tile_quantize(k[..., ks:ke, :], FP8_E4M3)
                 s_tile = (
                     q_sc * k_sc * (q8.astype(np.float32) @ np.swapaxes(k8, -1, -2).astype(np.float32))
                 ) * sm_scale
                 if causal:
                     s_tile = s_tile + causal_mask_block(qs, qe - qs, ks, ke - ks, offset)
-                v8, v_sc = fp8_tile_quantize(v[:, ks:ke, :], FP8_E4M3)
+                v8, v_sc = fp8_tile_quantize(v[..., ks:ke, :], FP8_E4M3)
 
                 def pv_mm(p, vals, v_sc=v_sc):
                     p8, p_sc = fp8_tile_quantize(p, FP8_E4M3)
@@ -104,5 +102,5 @@ class FP8Attention(AttentionBackend):
                     matmul=pv_mm,
                 )
             o_tile, _ = state.finalize()
-            out[:, qs:qe, :] = o_tile
+            out[..., qs:qe, :] = o_tile
         return out

@@ -13,7 +13,6 @@ from repro.baselines import (
     KIVIAttention,
     KIVIConfig,
 )
-from repro.baselines.base import gqa_expand
 from repro.baselines.gear import low_rank_factors
 
 
@@ -21,22 +20,6 @@ from repro.baselines.gear import low_rank_factors
 def small_qkv(rng):
     h, n, d = 2, 80, 16
     return tuple(rng.standard_normal((h, n, d)) for _ in range(3))
-
-
-class TestGqaExpand:
-    def test_identity(self, rng):
-        x = rng.standard_normal((4, 8, 2))
-        assert gqa_expand(x, 4) is x
-
-    def test_repeat(self, rng):
-        x = rng.standard_normal((2, 8, 2))
-        out = gqa_expand(x, 6)
-        assert out.shape == (6, 8, 2)
-        np.testing.assert_array_equal(out[0], out[1])
-
-    def test_mismatch_raises(self, rng):
-        with pytest.raises(ValueError):
-            gqa_expand(rng.standard_normal((3, 4, 2)), 4)
 
 
 _GQA_BACKENDS = {
@@ -67,6 +50,12 @@ class TestGroupedQuery:
                 q_t, np.repeat(k_t, 2, axis=0), np.repeat(v_t, 2, axis=0), state_r
             )
             assert np.array_equal(a, b)
+
+    def test_mismatch_raises(self, rng):
+        with pytest.raises(ValueError):
+            FP16Attention().prefill(
+                rng.standard_normal((4, 8, 2)), *rng.standard_normal((2, 3, 8, 2))
+            )
 
 
 class TestFP16Attention:
