@@ -22,16 +22,11 @@ and serialization both honour per-block widths.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Tuple
+from typing import List
 
 import numpy as np
 
-from repro.quant.progressive import (
-    ProgressiveBlock,
-    legal_bits,
-    pq_compress,
-    pq_decompress_to_int8,
-)
+from repro.quant.progressive import ProgressiveBlock, legal_bits, pq_compress
 
 __all__ = ["CacheBlock", "QuantizedKVCache"]
 
@@ -176,24 +171,6 @@ class QuantizedKVCache:
         ]
         self.blocks.extend(blocks)
         return blocks
-
-    def iter_decompressed(
-        self,
-    ) -> Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]]:
-        """Yield per-block ``(k_int8, v_int8, k_scale, v_scale, length)``.
-
-        Decompression to INT8 is the integer path of Algorithm 2; the float
-        scales are the stage-1 symmetric scales needed for the score/output
-        scaling.
-        """
-        for block in self.blocks:
-            yield (
-                pq_decompress_to_int8(block.k),
-                pq_decompress_to_int8(block.v),
-                block.k.float_scale,
-                block.v.float_scale,
-                block.length,
-            )
 
     @property
     def storage_bits(self) -> int:

@@ -13,11 +13,16 @@ from repro.serving.metrics import summarize
 from repro.serving.request import Request, RequestRecord, RequestStatus
 from repro.tasks.recall import RecallTask
 
+from tests._reference_kernels import gather_spans
+
 
 class TestEmptyStates:
     def test_empty_cache_iteration(self):
         cache = QuantizedKVCache(2, 8, head_bits=np.array([4, 4]), block_size=16)
-        assert list(cache.iter_decompressed()) == []
+        buffer = DecodeBuffer(
+            2, 8, capacity=16, k_scale=np.ones((2, 1, 1)), v_scale=np.ones((2, 1, 1))
+        )
+        assert list(gather_spans(cache, buffer)) == []
 
     def test_buffer_extend_respects_capacity(self, rng):
         buf = DecodeBuffer(

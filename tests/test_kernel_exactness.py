@@ -371,9 +371,10 @@ def test_decode_bulk_equals_scalar_loop():
         ]
     )
     assert np.array_equal(bulk, scalar)
-    for (ka, va, ksa, vsa, la), (kb, vb, ksb, vsb, lb) in zip(
-        res_a.cache.iter_decompressed(), res_b.cache.iter_decompressed()
+    for (ka, va, ksa, vsa), (kb, vb, ksb, vsb) in zip(
+        gather_spans(res_a.cache, res_a.buffer), gather_spans(res_b.cache, res_b.buffer)
     ):
+        la, lb = ka.shape[-2], kb.shape[-2]
         assert np.array_equal(ka, kb) and np.array_equal(va, vb)
         assert np.array_equal(ksa, ksb) and np.array_equal(vsa, vsb)
         assert la == lb

@@ -7,7 +7,7 @@ from repro.core.buffer import DecodeBuffer
 from repro.core.kvcache import QuantizedKVCache
 from repro.core.serialization import state_digest, state_to_arrays
 from repro.core.turbo import TurboKVState
-from repro.quant.progressive import pq_compress
+from repro.quant.progressive import pq_compress, pq_decompress_to_int8
 from repro.quant.schemes import quantize_symmetric
 
 
@@ -58,7 +58,8 @@ class TestQuantizedKVCache:
         kc, ks = _tile(rng)
         vc, vs = _tile(rng)
         cache.append_block(kc, vc, ks, vs)
-        k8, v8, kscale, vscale, length = next(cache.iter_decompressed())
+        block = cache.blocks[0]
+        k8, kscale, length = pq_decompress_to_int8(block.k), block.k.float_scale, block.length
         assert length == 64
         # INT8 stage-2 reconstruction error is bounded by one s_int step.
         assert np.abs(k8.astype(int) - kc.astype(int)).max() <= cache.blocks[0].k.s_int.max() + 1

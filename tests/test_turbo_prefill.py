@@ -8,6 +8,7 @@ from repro.attention.masks import causal_mask
 from repro.attention.reference import reference_attention
 from repro.core.config import TurboConfig
 from repro.core.prefill import quantize_tile, turbo_prefill
+from repro.quant.progressive import pq_decompress_to_int8
 
 
 def _bits(h, b=4):
@@ -82,8 +83,8 @@ class TestPrefillAccuracy:
             # Storage bits only affect the cache, not the prefill output;
             # measure decode-path reconstruction via the cache instead.
             k_hat_blocks = [
-                blk_k.astype(np.float64) * ks
-                for blk_k, _, ks, _, _ in res.cache.iter_decompressed()
+                pq_decompress_to_int8(block.k).astype(np.float64) * block.k.float_scale
+                for block in res.cache.blocks
             ]
             k_hat = np.concatenate(k_hat_blocks, axis=1)
             errs[bits] = np.linalg.norm(k_hat - k[:, : k_hat.shape[1], :])
