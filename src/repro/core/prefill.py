@@ -139,14 +139,14 @@ def turbo_prefill(
     qg = q.reshape(hkv, g, n, d)
     bq, bk = config.block_q, config.block_k
 
-    # --- Pass 0: quantize K/V tiles once into one key row; the codes serve
-    # compute AND storage.  Under a guard each float tile is screened first
-    # (a single NaN would otherwise poison the tile's absmax and hence every
-    # code in it); the sanitized floats are kept for the FP16 fallback path
-    # and the tail.  Unguarded, all full tiles quantize in ONE batched call
-    # — the tile statistics reduce over the trailing (tokens, channels)
-    # axes, so a stacked leading tile axis yields bit-identical scales and
-    # codes — and those stacks are the cache's blocks as they stand.
+    # --- Pass 0: quantize K/V tiles once; codes serve compute AND storage.
+    # Under a guard each float tile is screened first (a single NaN would
+    # otherwise poison the tile's absmax and hence every code in it); the
+    # sanitized floats are kept for the FP16 fallback path and the tail.
+    # Unguarded, all full tiles quantize in ONE batched call — the tile
+    # statistics reduce over the trailing (tokens, channels) axes, so a
+    # stacked leading tile axis yields bit-identical scales and codes — and
+    # those stacks are the cache's blocks as they stand.
     bounds = [(s, min(s + bk, nk)) for s in range(0, nk, bk)]
     n_full = nk // bk
     f_tiles = [(k[:, ks:ke, :], v[:, ks:ke, :]) for ks, ke in bounds]
@@ -178,9 +178,6 @@ def turbo_prefill(
             tiles.append((kc, vc, ksc, vsc))
             f_tiles[j] = (kt, vt)
         blocks = [np.stack(part) for part in zip(*tiles[:n_full])]
-    row = _KeyRow(hkv, d, nk, len(tiles))
-    for tile in tiles:
-        row.append(*tile)
 
     # --- Storage: full blocks go to the cache; the ragged tail to the buffer.
     cache = QuantizedKVCache(hkv, d, head_bits=head_bits, block_size=bk)
@@ -204,7 +201,12 @@ def turbo_prefill(
                 cache.append_block(*buffer.drain())
             buffer.extend(tail_k[:, ts : ts + nb, :], tail_v[:, ts : ts + nb, :])
 
-    # --- Compute: tiled online-softmax attention on the INT8 codes.
+    # --- Compute: tiled online-softmax attention on the INT8 codes, written
+    # into one key row.  The row is built after storage so that its arrays
+    # are not live while the cache compresses, which would raise peak RSS.
+    row = _KeyRow(hkv, d, nk, len(tiles))
+    for tile in tiles:
+        row.append(*tile)
     out, lse = _attend(
         qg, bq, row, exp, scale, config, offset if causal else None,
         guard, report, floats=f_tiles, fp16_segments=bad_kv,
