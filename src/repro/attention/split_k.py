@@ -13,9 +13,11 @@ into ``n_splits`` chunks processed independently, each producing a partial
 
 The merge is exact — a property test in the suite checks bit-level
 agreement with unsplit attention — and it composes with the quantized
-cache: :func:`repro.core.decode.turbo_decode_step_split_k` runs each chunk
+cache: :func:`repro.core.decode.turbo_decode_step_split_k` runs each chunk,
+a range of one decode key row's segments read as a view of the row,
 through the integer path of Algorithm 2.  Both go through one chunk loop,
-:func:`split_k_chunks`.
+:func:`split_k_chunks`; its ``(lo, hi)`` bounds count keys in
+:func:`split_k_decode` and row segments in the quantized variant.
 """
 
 from __future__ import annotations
