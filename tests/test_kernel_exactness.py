@@ -382,6 +382,69 @@ def test_decode_bulk_equals_scalar_loop():
     assert np.array_equal(res_a.buffer.codes()[1], res_b.buffer.codes()[1])
 
 
+def _bulk_and_scalar_cases(config, seed, steps=40):
+    # A 250-token prompt leaves a 58-token tail, which a 24-token buffer
+    # flushes twice in prefill; 40 steps then flush it twice more.
+    rng = np.random.default_rng(seed)
+    hq, hkv, d = 4, 2, 32
+    q, k, v = _qkv(rng, hq, hkv, 250, d)
+    bits = np.full(hkv, 4, dtype=np.int32)
+    res_a = turbo_prefill(q, k, v, config, bits)
+    res_b = turbo_prefill(q, k, v, config, bits)
+    qs = rng.standard_normal((steps, hq, d))
+    ks, vs = (rng.standard_normal((steps, hkv, d)) for _ in range(2))
+    return res_a, res_b, (qs, ks, vs)
+
+
+def test_decode_bulk_bailout_matches_span_oracle(monkeypatch):
+    # With the core's int32 bound patched to 0 every decode query runs in
+    # the loop twin.  A bulk run across flushes must give each step the
+    # loop oracle's result over that step's own spans, with two integer
+    # GEMMs per (step, span), and equal the per-step loop.
+    monkeypatch.setattr(core_decode, "_INT32_MAX", 0)
+    config = TurboConfig(buffer_size=24)
+    res_a, res_b, (qs, ks, vs) = _bulk_and_scalar_cases(config, 37)
+    hkv = res_a.cache.n_heads
+    blocks = len(res_b.cache.blocks)
+    scalar, refs, want_gemms = [], [], 0
+    for t in range(len(qs)):
+        scalar.append(turbo_decode_step(qs[t], ks[t], vs[t], res_b.cache, res_b.buffer, config))
+        spans = gather_spans(res_b.cache, res_b.buffer)
+        refs.append(reference_decode_attend(spans, qs[t], hkv, config)[0])
+        want_gemms += 2 * len(spans)
+    assert len(res_b.cache.blocks) - blocks == 2
+    gemm_calls = _count_calls(monkeypatch, core_decode)
+    bulk = turbo_decode_steps(qs, ks, vs, res_a.cache, res_a.buffer, config)
+    for t, ref in enumerate(refs):
+        assert np.array_equal(bulk[t], ref), t
+    assert np.array_equal(bulk, np.stack(scalar))
+    assert len(gemm_calls) == want_gemms
+
+
+def test_decode_bulk_fp16_equals_scalar_loop():
+    # The FP16-MatMul ablation runs every decode query in the loop twin's
+    # FP16 MatMuls; a bulk run across flushes must equal the per-step
+    # loop byte for byte, and leave the same cache.
+    config = TurboConfig(buffer_size=24, quantize_matmuls=False)
+    res_a, res_b, (qs, ks, vs) = _bulk_and_scalar_cases(config, 47)
+    blocks = len(res_b.cache.blocks)
+    bulk = turbo_decode_steps(qs, ks, vs, res_a.cache, res_a.buffer, config)
+    scalar = np.stack(
+        [
+            turbo_decode_step(qs[t], ks[t], vs[t], res_b.cache, res_b.buffer, config)
+            for t in range(len(qs))
+        ]
+    )
+    assert len(res_b.cache.blocks) - blocks == 2
+    assert np.array_equal(bulk, scalar)
+    assert_same_payload(
+        *(
+            state_to_arrays(TurboKVState(cache=r.cache, buffer=r.buffer, head_bits=r.head_bits))
+            for r in (res_a, res_b)
+        ),
+    )
+
+
 def test_decode_bulk_guarded_equals_scalar():
     # With a guard the bulk API falls back to per-step screening; the
     # contract (outputs equal the scalar loop) must hold there too.
