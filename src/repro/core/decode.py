@@ -23,7 +23,11 @@ the flattened core, :func:`_attend_tiles`, or else its loop twin,
 and int32 fallback path; a guard-flagged decode step runs the FP16
 reference step, :func:`_reference_step`, over the same row.  Prefill
 writes its tiles into a row once; decode keeps one resident row per run
-(:class:`_DecodeRow`) that each step extends by its new token.
+(:class:`_DecodeRow`).  The history a decode step attends over changes
+only at a buffer flush, so decode calls the selector once per buffer
+interval, with the interval's query rows together: each row its own
+quantization tile, masked to the buffer tokens its step had staged.  The
+core runs its elementwise chain over cache-sized slabs of heads.
 
 :func:`turbo_decode_step_split_k` is the FlashDecoding-composed variant:
 the row's segments are partitioned into splits, each split runs the same
@@ -85,13 +89,17 @@ def _exp_fn(config: TurboConfig) -> Callable[[np.ndarray], np.ndarray]:
     return lambda x: np.where(np.isfinite(x), np.exp(np.minimum(x, 0.0)), 0.0)
 
 
-def _segment_max(x: np.ndarray, runs: Sequence[Tuple[int, int, int, int]]) -> np.ndarray:
-    """Per-segment ``max`` over the last axis of ``x``, one column per
-    segment; each run of equal-length segments reshapes to a dense axis."""
+def _segment_reduce(
+    op: np.ufunc, x: np.ndarray, runs: Sequence[Tuple[int, int, int, int]]
+) -> np.ndarray:
+    """Per-segment ``op.reduce`` over the last axis of ``x``, one column per
+    segment; each run of equal-length segments reshapes to a dense axis, so
+    a segment's sum is the same pairwise sum as over its own slice."""
     parts = [
-        x[..., c0 : c0 + (j1 - j0) * length]
-        .reshape(x.shape[:-1] + (j1 - j0, length))
-        .max(axis=-1)
+        op.reduce(
+            x[..., c0 : c0 + (j1 - j0) * length].reshape(x.shape[:-1] + (j1 - j0, length)),
+            axis=-1,
+        )
         for j0, j1, c0, length in runs
     ]
     return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
@@ -218,6 +226,26 @@ class _DecodeRow(_KeyRow):
             self._staged = len(buffer)
 
 
+#: Score elements per slab of :func:`_attend_tiles`' elementwise chain.
+#: A slab's float64 temporaries (scores, probabilities, P codes) then stay
+#: in a core's L2 cache, where a whole tile's streamed from DRAM; measured
+#: on prefill and decode from 2**14 elements to a whole KV head.
+_SLAB = 1 << 16
+
+
+def _slabs(hkv: int, g: int, per_head: int) -> List[Tuple[slice, slice]]:
+    """(KV heads, query heads) slices of at most ``_SLAB`` score elements
+    of ``per_head`` each (at least one pair): whole KV heads when one
+    fits, else blocks of one KV head's query group."""
+    gb = min(g, max(1, _SLAB // per_head))
+    hb = max(1, _SLAB // (g * per_head)) if gb == g else 1
+    return [
+        (slice(h0, h0 + hb), slice(g0, g0 + gb))
+        for h0 in range(0, hkv, hb)
+        for g0 in range(0, g, gb)
+    ]
+
+
 def _attend_tiles(
     q: np.ndarray,
     block_q: int,
@@ -226,58 +254,72 @@ def _attend_tiles(
     scale: float,
     mc: int,
     causal_offset: Optional[int] = None,
+    tail: Optional[Sequence[int]] = None,
 ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
     """Flattened INT8 x SAS online-softmax attention: the inner loop of
     Algorithms 1 and 2 over whole key rows.
 
-    ``q`` has shape ``(hkv, g, n, d)`` and is quantized in tiles of
-    ``block_q`` rows; ``row`` holds the K/V code segments in key order,
-    with one scalar scale per segment and KV head (see :class:`_KeyRow`:
-    prefill's tiles, decode's resident row or a split-K range of it).  Each
-    query tile attends over a prefix of the segments: all of them, or
-    with ``causal_offset`` (``n_keys - n`` of a causal prefill) those
-    that start at or before its last row, under the causal additive
-    mask.  Per tile that is one integer QK GEMM, two ``exp`` calls (every
-    running-max correction and the whole probability row), one segmented
-    P quantization and one batched PV GEMM per run of equal-length
-    segments, which stacks the query group's rows so that each GEMM
-    multiplies a (KV head, segment) pair's V codes once.  Unless the PV
-    bound passes 2**24, nothing here copies, scans or casts the whole row
-    outside those GEMMs: the row keeps its code magnitudes and holds V as
-    float32.
+    ``q`` has shape ``(hkv, g, n, d)``; ``row`` holds the K/V code
+    segments in key order, with one scalar scale per segment and KV head
+    (see :class:`_KeyRow`: prefill's tiles, decode's resident row or a
+    split-K range of it).  Without ``tail``, ``q`` is quantized in tiles
+    of ``block_q`` rows, and each tile attends over a prefix of the
+    segments: all of them, or with ``causal_offset`` (``n_keys - n`` of a
+    causal prefill) those that start at or before its last row, under the
+    causal additive mask.  With ``tail``, the ``n`` rows are decode steps
+    of one buffer interval: one tile whose rows are each quantized on
+    their own (Q per row, P per row and segment), and every row sees
+    every segment but only the first ``tail[r]`` keys of the last one
+    (the buffer), the later keys set to ``-inf``.
+
+    Per tile that is one integer QK GEMM; the rest of the chain runs over
+    slabs of (KV head, query head) pairs with at most ``_SLAB`` score
+    elements (see :func:`_slabs`), each keeping all of the tile's rows: two
+    ``exp`` calls (every running-max correction and the whole probability
+    row), one segmented P quantization, one batched PV GEMM per run of
+    equal-length segments, which stacks the slab's query rows so that
+    each GEMM multiplies a (KV head, segment) pair's V codes once, and
+    the ``l``/``acc`` folds.  Unless the PV bound passes 2**24, nothing
+    here copies, scans or casts the whole row outside those GEMMs: the
+    row keeps its code magnitudes and holds V as float32.
 
     Bit-identical to its loop twin :func:`_attend_loop` (and to the
     oracles in ``tests/_reference_kernels.py``): integer GEMM columns are
-    independent, so slicing one concatenated product equals per-segment
-    products; ``max`` returns one of its inputs under any grouping, so
-    segmented maxes plus ``np.maximum.accumulate`` reproduce the
-    running-max trajectory; the exponential and the quantizer are
-    element-wise; and the ``l``/``acc`` folds keep the per-segment
-    recursion, whose float order matters (each segment's probability sum
-    is the same pairwise ``.sum`` over a slice of the same length).  The
-    PV products are exact integers in the float type
-    :func:`~repro.quant.integer_gemm.exact_float_dtype` picks for their
-    bound, as :func:`~repro.quant.integer_gemm.int_matmul` does for QK:
-    float32, where the row's V already is, or V widened to float64 once
-    per call.  When the code magnitudes cannot rule out int32 overflow
-    this returns ``None`` and :func:`_attend` runs the loop twin, whose
-    integer GEMMs check overflow one (tile, segment) pair at a time.
+    independent, so slicing one concatenated product (or one slab of it)
+    equals per-segment products, and a hidden key's P code is 0, which
+    adds nothing to an exact integer PV product; ``max`` returns one of
+    its inputs under any grouping, so segmented maxes plus
+    ``np.maximum.accumulate`` reproduce the running-max trajectory; the
+    exponential, the mask and the quantizer are element-wise; and the
+    ``l``/``acc`` folds keep the per-segment recursion, whose float order
+    matters (each segment's probability sum is the same pairwise ``.sum``
+    over a slice of the same length, for a decode row's last segment its
+    ``tail[r]`` visible keys).  The PV products are exact integers in the
+    float type :func:`~repro.quant.integer_gemm.exact_float_dtype` picks
+    for their bound, as :func:`~repro.quant.integer_gemm.int_matmul` does
+    for QK: float32, where the row's V already is, or V widened to
+    float64 once per call.  When the code magnitudes cannot rule out int32
+    overflow this returns ``None`` and :func:`_attend` runs the loop twin,
+    whose integer GEMMs check overflow one (tile, segment) pair at a time.
 
-    Returns ``(out (hkv, g, n, d), lse (hkv, g, n))``.  Query tiles loop
-    here rather than in the callers so the per-tile temporaries reuse
-    heap memory instead of being returned to the OS between tiles.
+    Returns ``(out (hkv, g, n, d), lse (hkv, g, n))``.
     """
     hkv, g, n, d = q.shape
-    q_tiles = [
-        (qs, *quantize_tile(q[:, :, qs : qs + block_q, :], mc))
-        for qs in range(0, n, block_q)
-    ]
+    if tail is None:
+        q_tiles = [
+            (qs, *quantize_tile(q[:, :, qs : qs + block_q, :], mc))
+            for qs in range(0, n, block_q)
+        ]
+    else:
+        qc, q_scale = quantize_tile(q[..., None, :], mc)
+        q_tiles = [(0, qc[..., 0, :], q_scale[..., 0])]
     lens = row.lens
     q_mag = max((code_magnitude(qc) for _, qc, _ in q_tiles), default=0)
     pv_bound = mc * row.v_mag * max(lens)
     if q_mag * row.k_mag * d > _INT32_MAX or pv_bound > _INT32_MAX:
         return None
     pv_dtype = exact_float_dtype(pv_bound)
+    vf = row.v if pv_dtype is np.float32 else row.v[:, : row.n_keys].astype(pv_dtype)
 
     nseg = len(lens)
     ends = np.cumsum(lens)
@@ -288,7 +330,8 @@ def _attend_tiles(
     # cache blocks share one size, so a history is one or a few runs.
     breaks = [0] + [j for j in range(1, nseg) if lens[j] != lens[j - 1]] + [nseg]
     runs = [(j0, j1, int(starts[j0]), lens[j0]) for j0, j1 in zip(breaks, breaks[1:])]
-    vf = None
+    if tail is not None:
+        hidden = np.arange(lens[-1]) >= np.asarray(tail)[:, None]
 
     out = np.zeros((hkv, g, n, d), dtype=np.float64)
     lse = np.zeros((hkv, g, n), dtype=np.float64)
@@ -305,53 +348,79 @@ def _attend_tiles(
         seg_lens = lens[:j_lim]
         kmax = int(ends[j_lim - 1])
         tile_runs = [(j0, min(j1, j_lim), c0, ln) for j0, j1, c0, ln in runs if j0 < j_lim]
+        # The causal mask can hide only the columns past the tile's first row.
+        mask_from = kmax if causal_offset is None else min(max(qs + causal_offset + 1, 0), kmax)
+        if mask_from < kmax:
+            mask = causal_mask_block(qs, nq, mask_from, kmax - mask_from, causal_offset)
+        # Per (row, segment): rescale factors and probability sums, folded
+        # into ``l`` once the slabs are done; each row's final running max.
+        corr_t = np.empty((hkv, g, nq, j_lim))
+        p_sums = np.empty((hkv, g, nq, j_lim))
+        m_last = np.empty((hkv, g, nq))
+        if tail is not None:
+            p_tail = np.empty((hkv, g, nq, lens[-1]))
 
         gemm = int_matmul(qc, row.k[..., :kmax])
-        qk_scale = np.repeat(q_scale * k_scales[..., :j_lim], seg_lens, axis=-1)
-        s_row = (qk_scale * gemm) * scale
-        if causal_offset is not None:
-            s_row = s_row + causal_mask_block(qs, nq, 0, kmax, causal_offset)
-        m_new = np.maximum.accumulate(_segment_max(s_row, tile_runs), axis=-1)
-        m_prev = np.concatenate(
-            [np.full((hkv, g, nq, 1), -np.inf), m_new[..., :-1]], axis=-1
-        )
-        with np.errstate(invalid="ignore"):
-            corr_all = exp(m_prev - m_new)
-        corr_all = np.where(np.isfinite(m_prev), corr_all, 0.0)
-        p_row = exp(s_row - np.repeat(m_new, seg_lens, axis=-1))
+        for hs, gs in _slabs(hkv, g, nq * kmax):
+            qk_scale = np.repeat(q_scale[hs, gs] * k_scales[hs, ..., :j_lim], seg_lens, axis=-1)
+            s = qk_scale * gemm[hs, gs]
+            s *= scale
+            if mask_from < kmax:
+                s[..., mask_from:] += mask
+            if tail is not None:
+                np.copyto(s[..., starts[-1] :], -np.inf, where=hidden)
+            sh, sg = s.shape[:2]
+            m_new = np.maximum.accumulate(_segment_reduce(np.maximum, s, tile_runs), axis=-1)
+            m_prev = np.concatenate(
+                [np.full((sh, sg, nq, 1), -np.inf), m_new[..., :-1]], axis=-1
+            )
+            with np.errstate(invalid="ignore"):
+                corr_all = exp(m_prev - m_new)
+            corr_t[hs, gs] = np.where(np.isfinite(m_prev), corr_all, 0.0)
+            m_last[hs, gs] = m_new[..., -1]
+            s -= np.repeat(m_new, seg_lens, axis=-1)
+            p = exp(s)
+            p_sums[hs, gs] = _segment_reduce(np.add, p, tile_runs)
+            if tail is not None:
+                p_tail[hs, gs] = p[..., starts[-1] :]
 
-        # P quantizes per (tile, segment): the absmax spans the tile's rows.
-        # Its codes are integers in [0, mc], exact in either float type.
-        p_absmax = _segment_max(np.abs(p_row), tile_runs).max(axis=2)
-        p_scale = np.maximum(p_absmax, 1e-12) / float(mc)  # (hkv, g, j_lim)
-        pcf = np.clip(
-            np.rint(p_row / np.repeat(p_scale[:, :, None, :], seg_lens, axis=-1)), -mc, mc
-        ).astype(pv_dtype)
-        if vf is None:
-            vf = row.v if pv_dtype is np.float32 else row.v[:, : row.n_keys].astype(pv_dtype)
-        pv_segs = []
-        for j0, j1, c0, ln in tile_runs:
-            cnt = j1 - j0
-            c1 = c0 + cnt * ln
-            # One GEMM per (KV head, segment) over all g * nq query rows.
-            block = (
-                pcf[..., c0:c1].reshape(hkv, g * nq, cnt, ln).transpose(0, 2, 1, 3)
-                @ vf[:, c0:c1, :].reshape(hkv, cnt, ln, d)
-            )  # (hkv, cnt, g * nq, d)
-            pv_segs.extend(block[:, i].reshape(hkv, g, nq, d) for i in range(cnt))
+            # P quantizes per (tile, segment): prefill's absmax spans the
+            # tile's rows, a decode row is its own tile.  P is never
+            # negative, and its codes are integers in [0, mc], exact in
+            # either float type.
+            p_absmax = _segment_reduce(np.maximum, p, tile_runs)
+            if tail is None:
+                p_absmax = p_absmax.max(axis=2, keepdims=True)
+            p_scale = np.maximum(p_absmax, 1e-12) / float(mc)
+            np.divide(p, np.repeat(p_scale, seg_lens, axis=-1), out=s)
+            np.rint(s, out=s)
+            pcf = np.clip(s, -mc, mc, out=s).astype(pv_dtype)
+            pv_scale = p_scale * v_scales[hs, ..., :j_lim]
+            acc = np.zeros((sh, sg, nq, d))
+            for j0, j1, c0, ln in tile_runs:
+                cnt = j1 - j0
+                c1 = c0 + cnt * ln
+                # One GEMM per (KV head, segment) over the slab's query rows.
+                pv = (
+                    pcf[..., c0:c1].reshape(sh, sg * nq, cnt, ln).transpose(0, 2, 1, 3)
+                    @ vf[hs, c0:c1, :].reshape(sh, cnt, ln, d)
+                ).reshape(sh, cnt, sg, nq, d)
+                for j in range(j0, j1):
+                    np.multiply(acc, corr_t[hs, gs, :, j, None], out=acc)
+                    np.add(acc, pv_scale[..., j, None] * pv[:, j - j0], out=acc)
+            out[hs, gs, qs:qe, :] = acc
 
+        if tail is not None:
+            # A decode row sums only the buffer keys its step had staged.
+            for r, t in enumerate(tail):
+                p_sums[:, :, r, -1] = p_tail[:, :, r, :t].sum(axis=-1)
         l = np.zeros((hkv, g, nq))
-        acc = np.zeros((hkv, g, nq, d))
         for j in range(j_lim):
-            corr = corr_all[..., j]
-            np.multiply(l, corr, out=l)
-            np.add(l, p_row[..., starts[j] : ends[j]].sum(axis=-1), out=l)
-            pv = (p_scale[..., j][..., None, None] * v_scales[..., j : j + 1]) * pv_segs[j]
-            np.multiply(acc, corr[..., None], out=acc)
-            np.add(acc, pv, out=acc)
+            np.multiply(l, corr_t[..., j], out=l)
+            np.add(l, p_sums[..., j], out=l)
         safe_l = np.where(l > 0, l, 1.0)
-        out[:, :, qs:qe, :] = acc / safe_l[..., None]
-        lse[:, :, qs:qe] = np.where(l > 0, m_new[..., -1] + np.log(safe_l), -np.inf)
+        out[:, :, qs:qe, :] /= safe_l[..., None]
+        lse[:, :, qs:qe] = np.where(l > 0, m_last + np.log(safe_l), -np.inf)
     return out, lse
 
 
@@ -376,6 +445,7 @@ def _attend_loop(
     report: Optional[GuardReport] = None,
     floats: Optional[Sequence[Tuple[np.ndarray, np.ndarray]]] = None,
     fp16_segments: Collection[int] = (),
+    tail: Optional[Sequence[int]] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Loop twin of :func:`_attend_tiles`: the same recursion and result,
     one (query tile, segment) pair at a time.
@@ -383,7 +453,9 @@ def _attend_loop(
     It is both kernels' guard, FP16-MatMul and int32 fallback path, and
     takes the core's arguments (``config`` in place of ``mc``) plus the
     guard's and the FP16 path's.  It walks ``row.lens`` and reads each
-    segment's codes and scales in place.  A pair's two MatMuls are
+    segment's codes and scales in place; with ``tail`` (decode rows,
+    ``block_q`` 1) tile ``t`` reads ``tail[t]`` keys of the last segment,
+    as its step did.  A pair's two MatMuls are
     integer GEMMs, guarded by the accumulator headroom check under
     ``guard``, unless ``quantize_matmuls`` is off, the guard flagged its
     query tile, or its segment is in ``fp16_segments``; then they run in
@@ -415,6 +487,8 @@ def _attend_loop(
         acc = np.zeros((hkv, g, qe - qs, d))
         ke = 0
         for j, n_j in enumerate(row.lens):
+            if tail is not None and j == len(row.lens) - 1:
+                n_j = tail[t]
             ks, ke = ke, ke + n_j
             if causal_offset is not None and ks > qe - 1 + causal_offset:
                 break
@@ -474,9 +548,12 @@ def _attend(
     report: Optional[GuardReport] = None,
     floats: Optional[Sequence[Tuple[np.ndarray, np.ndarray]]] = None,
     fp16_segments: Collection[int] = (),
+    tail: Optional[Sequence[int]] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Attention for both kernels over a :class:`_KeyRow`: prefill's
-    tiles, decode's resident row or a split-K range of it.
+    tiles, the decode rows of one buffer interval over the resident row
+    (``block_q`` 1 and ``tail``, see :func:`_attend_tiles`) or a
+    split-K range of it.
 
     The flattened core :func:`_attend_tiles` runs when no guard runs, both
     MatMuls are INT8 and the core's int32 bound holds; else
@@ -484,11 +561,14 @@ def _attend(
     ``(out (hkv, g, n, d), lse (hkv, g, n))``, normalized; decode's
     one-row ``(out, lse)`` partials are the mergeable split-K contract."""
     if guard is None and config.quantize_matmuls:
-        flat = _attend_tiles(q, block_q, row, exp, scale, config.int8_max_code, causal_offset)
+        flat = _attend_tiles(
+            q, block_q, row, exp, scale, config.int8_max_code, causal_offset, tail
+        )
         if flat is not None:
             return flat
     return _attend_loop(
-        q, block_q, row, exp, scale, config, causal_offset, guard, report, floats, fp16_segments
+        q, block_q, row, exp, scale, config, causal_offset, guard, report, floats,
+        fp16_segments, tail,
     )
 
 
@@ -567,6 +647,10 @@ def turbo_decode_step(
 ) -> np.ndarray:
     """One decode step: the one-token case of :func:`turbo_decode_steps`.
 
+    It builds the resident key row and makes one core call for its one
+    token, so a loop of these pays per token what one bulk call pays per
+    buffer interval.
+
     Parameters
     ----------
     q_t:
@@ -618,26 +702,31 @@ def turbo_decode_steps(
     report: Optional[GuardReport] = None,
     escalator: Optional[PrecisionEscalator] = None,
 ) -> np.ndarray:
-    """Decode a run of tokens, one step per token in order.
+    """Decode a run of tokens in order, one buffer interval per core call.
 
     ``qs``/``ks``/``vs`` have shapes ``(steps, q_heads, head_dim)`` and
     ``(steps, kv_heads, head_dim)``; the result is ``(steps, q_heads,
-    head_dim)``.  Each step screens its inputs under the guard, stages the
-    token (flushing a full buffer through the escalator), then attends
-    over the cache blocks plus the buffer: through the FP16 reference
-    path when the guard flagged the step, otherwise through
-    :func:`_attend` (the flattened INT8 core, or its loop twin under a
-    guard, the FP16-MatMul ablation or a failed int32 bound).
+    head_dim)``.  Each step screens its inputs under the guard and stages
+    its token (flushing a full buffer through the escalator); it attends
+    over the cache blocks plus the buffer as staged at that step: through
+    the FP16 reference path when the guard flagged the step, otherwise
+    through :func:`_attend` (the flattened INT8 core, or its loop twin
+    under a guard, the FP16-MatMul ablation or a failed int32 bound).
 
-    The history lives in one resident key row per call
-    (:class:`_DecodeRow`): each cache block is decompressed to INT8 and
-    written once, when it first appears, and each staged token once,
-    when it is staged.  So a step's host work outside its two GEMMs
-    tracks the new token, not the context, and the core still makes one
-    ``int_matmul`` call per step.  The SAS callable is resolved once per
-    run.  Row ``t`` equals what :func:`turbo_decode_step` returns for
-    token ``t``, since that is this loop run for one token.  See
-    :func:`turbo_decode_step` for the parameters.
+    The attended history changes only at a flush, so the steps run by
+    buffer intervals: an interval is the run of steps up to the next
+    flush (a flush starts the next one; under a guard it is one step, so
+    screening, the fallback step and the guard's events stay per step).
+    An interval stages its tokens, brings the resident key row
+    (:class:`_DecodeRow`) up to date once, then makes one :func:`_attend`
+    call for all its queries, with ``tail`` giving each query the buffer
+    tokens staged by its own step.  Each cache block is decompressed to
+    INT8 and written into the row once, when it first appears, and each
+    staged token once.  So the core makes one ``int_matmul`` call per
+    interval, and the SAS callable is resolved once per run.  Row ``t``
+    equals what :func:`turbo_decode_step` returns for token ``t``, since
+    that is this loop run for one token.  See :func:`turbo_decode_step`
+    for the parameters.
     """
     qs = np.asarray(qs, dtype=np.float64)
     ks = np.asarray(ks, dtype=np.float64)
@@ -656,24 +745,36 @@ def turbo_decode_steps(
     exp = _exp_fn(config)
     row = _DecodeRow(cache, buffer, steps)
     out = np.empty((steps, hq, d), dtype=np.float64)
-    for t in range(steps):
-        q_t, k_t, v_t = qs[t], ks[t], vs[t]
+    t0 = 0
+    while t0 < steps:
+        # An interval runs until the buffer is full, since a full buffer
+        # flushes when the next step stages; under a guard it is one step.
+        room = 1 if guard is not None else buffer.capacity - len(buffer) % buffer.capacity
+        t1 = min(steps, t0 + room)
+        queries, tail = [], []
         fallback = False
-        if guard is not None:
-            q_t, fb_q = check_finite_tile(q_t, "decode q_t", guard, report)
-            k_t, fb_k = check_finite_tile(k_t, "decode k_t", guard, report)
-            v_t, fb_v = check_finite_tile(v_t, "decode v_t", guard, report)
-            fallback = fb_q or fb_k or fb_v
-        _stage_token(k_t, v_t, cache, buffer, escalator, report)
+        for t in range(t0, t1):
+            q_t, k_t, v_t = qs[t], ks[t], vs[t]
+            if guard is not None:
+                q_t, fb_q = check_finite_tile(q_t, "decode q_t", guard, report)
+                k_t, fb_k = check_finite_tile(k_t, "decode k_t", guard, report)
+                v_t, fb_v = check_finite_tile(v_t, "decode v_t", guard, report)
+                fallback = fb_q or fb_k or fb_v
+            _stage_token(k_t, v_t, cache, buffer, escalator, report)
+            queries.append(q_t)
+            tail.append(len(buffer))
         row.sync(cache, buffer)
-        q = q_t.reshape(hkv, g, 1, d)
+        q = np.stack(queries, axis=1).reshape(hkv, g, t1 - t0, d)
         if fallback:
             report.fallback_steps += 1
             report.record("fallback_step:decode")
-            step_out = _reference_step(row, q, scale)
+            interval_out = _reference_step(row, q, scale)
         else:
-            step_out, _lse = _attend(q, 1, row, exp, scale, config, guard=guard, report=report)
-        out[t] = step_out.reshape(hq, d)
+            interval_out, _lse = _attend(
+                q, 1, row, exp, scale, config, guard=guard, report=report, tail=tail
+            )
+        out[t0:t1] = np.moveaxis(interval_out.reshape(hq, t1 - t0, d), 1, 0)
+        t0 = t1
     return out
 
 

@@ -207,14 +207,16 @@ def test_decode_step_matches_span_oracle(
 def _check_resident_rows(monkeypatch, cache, buffer, config):
     """Patch the core so that each decode row it reads is checked against
     the spans ``gather_spans`` builds from the cache and buffer at that
-    moment (codes, lengths, scales and code magnitudes), and each step's
-    result against the per-span loop oracle over those spans.  Returns
-    the list of checked steps."""
+    moment (codes, lengths, scales and code magnitudes), and each query's
+    result against the per-span loop oracle over its own step's spans:
+    those spans with the last (the buffer) cut to the query's ``tail``
+    entry.  Returns the list of checked steps."""
     checked = []
     core = core_decode._attend_tiles
 
     def checking(q, block_q, row, *args):
         result = core(q, block_q, row, *args)
+        tail = args[-1]
         spans = gather_spans(cache, buffer)
         hkv, g, _, d = q.shape
         n, nseg = row.n_keys, len(spans)
@@ -229,10 +231,15 @@ def _check_resident_rows(monkeypatch, cache, buffer, config):
             assert np.array_equal(scales[..., :nseg], want)
         assert row.k_mag == max(code_magnitude(span[0]) for span in spans)
         assert row.v_mag == max(code_magnitude(span[1]) for span in spans)
-        ref_out, ref_lse = reference_decode_attend(spans, q.reshape(hkv * g, d), hkv, config)
-        assert np.array_equal(result[0].reshape(hkv * g, d), ref_out)
-        assert np.array_equal(result[1].reshape(hkv * g), ref_lse)
-        checked.append(len(cache.blocks))
+        k_codes, v_codes, k_scale, v_scale = spans[-1]
+        for r, t in enumerate(tail):
+            seen = spans[:-1] + [(k_codes[:, :t], v_codes[:, :t], k_scale, v_scale)]
+            ref_out, ref_lse = reference_decode_attend(
+                seen, q[:, :, r].reshape(hkv * g, d), hkv, config
+            )
+            assert np.array_equal(result[0][:, :, r].reshape(hkv * g, d), ref_out)
+            assert np.array_equal(result[1][:, :, r].reshape(hkv * g), ref_lse)
+            checked.append(len(cache.blocks))
         return result
 
     monkeypatch.setattr(core_decode, "_attend_tiles", checking)
