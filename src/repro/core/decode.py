@@ -228,8 +228,9 @@ class _DecodeRow(_KeyRow):
 
 #: Score elements per slab of :func:`_attend_tiles`' elementwise chain.
 #: A slab's float64 temporaries (scores, probabilities, P codes) then stay
-#: in a core's L2 cache, where a whole tile's streamed from DRAM; measured
-#: on prefill and decode from 2**14 elements to a whole KV head.
+#: in a core's L2 cache, where a whole prefill tile's (10-20 MB) streamed
+#: from DRAM.  Of 2**14 to 2**20 elements, measured on prefill and decode,
+#: 2**16 was fastest.
 _SLAB = 1 << 16
 
 
@@ -274,14 +275,16 @@ def _attend_tiles(
 
     Per tile that is one integer QK GEMM; the rest of the chain runs over
     slabs of (KV head, query head) pairs with at most ``_SLAB`` score
-    elements (see :func:`_slabs`), each keeping all of the tile's rows: two
-    ``exp`` calls (every running-max correction and the whole probability
-    row), one segmented P quantization, one batched PV GEMM per run of
-    equal-length segments, which stacks the slab's query rows so that
-    each GEMM multiplies a (KV head, segment) pair's V codes once, and
-    the ``l``/``acc`` folds.  Unless the PV bound passes 2**24, nothing
-    here copies, scans or casts the whole row outside those GEMMs: the
-    row keeps its code magnitudes and holds V as float32.
+    elements (see :func:`_slabs`), each keeping all of the tile's rows:
+    score scaling and the mask, two ``exp`` calls (every running-max
+    correction and the whole probability row), one segmented P
+    quantization, one batched PV GEMM per run of equal-length segments,
+    which stacks the slab's query rows so that each GEMM multiplies a (KV
+    head, segment) pair's V codes once, and the ``acc`` fold.  The ``l``
+    fold and the normalization run once per tile.  Unless the PV bound
+    passes 2**24, nothing here copies, scans or casts the whole row
+    outside those GEMMs: the row keeps its code magnitudes and holds V as
+    float32.
 
     Bit-identical to its loop twin :func:`_attend_loop` (and to the
     oracles in ``tests/_reference_kernels.py``): integer GEMM columns are
