@@ -150,9 +150,14 @@ def bench_prefill(quick: bool = False, repeats: int = 3) -> Dict[str, float]:
     return {"prefill_s": wall, "prefill_us_per_token": wall / n * 1e6}
 
 
-def bench_decode(quick: bool = False, repeats: int = 3) -> Dict[str, float]:
-    """One homogeneous decode stretch through :func:`turbo_decode_steps`."""
-    n = 512 if quick else 1024
+def bench_decode(quick: bool = False, repeats: int = 5) -> Dict[str, float]:
+    """One homogeneous decode stretch through :func:`turbo_decode_steps`.
+
+    Decode calls its core once per buffer interval, so both stretches
+    cross a flush to time an interval boundary: the quick 992-token prompt
+    leaves 32 tokens in the 64-token buffer, which its 64 steps flush
+    halfway, and the full stretch of 192 steps flushes twice."""
+    n = 992 if quick else 1024
     steps = 64 if quick else 192
     hq, hkv, d = 8, 2, 64
     rng = np.random.default_rng(0)
