@@ -458,12 +458,12 @@ def _attend_loop(
     guard's and the FP16 path's.  It walks ``row.lens`` and reads each
     segment's codes and scales in place; with ``tail`` (decode rows,
     ``block_q`` 1) tile ``t`` reads ``tail[t]`` keys of the last segment,
-    as its step did.  A pair's two MatMuls are
-    integer GEMMs, guarded by the accumulator headroom check under
-    ``guard``, unless ``quantize_matmuls`` is off, the guard flagged its
-    query tile, or its segment is in ``fp16_segments``; then they run in
-    FP16 over ``floats[j]`` (prefill's sanitized float K/V tiles) or,
-    without ``floats``, over the dequantized codes.  The guard screens
+    as its step did.  A pair's two MatMuls are integer GEMMs, guarded by
+    the accumulator headroom check under ``guard``, unless
+    ``quantize_matmuls`` is off, the guard flagged its query tile, or its
+    segment is in ``fp16_segments``; then they run in FP16 over
+    ``floats[j]`` (prefill's sanitized float K/V tiles) or, without
+    ``floats``, over the dequantized codes.  The guard screens
     inputs in loop order where they can still be repaired: with
     ``floats`` each query tile (the K/V tiles were screened when
     quantized), without them each stored segment's scales (the codes are
