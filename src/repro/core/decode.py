@@ -228,8 +228,8 @@ class _DecodeRow(_KeyRow):
 
 #: Score elements per slab of :func:`_attend_tiles`' elementwise chain.
 #: A slab's float64 temporaries (scores, probabilities, P codes) then stay
-#: in a core's L2 cache, where a whole prefill tile's (10-20 MB) streamed
-#: from DRAM.  Of 2**14 to 2**20 elements, measured on prefill and decode,
+#: in a core's L2 cache, which a whole prefill tile's (10-20 MB each)
+#: overran.  Of 2**14 to 2**20 elements, measured on prefill and decode,
 #: 2**16 was fastest.
 _SLAB = 1 << 16
 
