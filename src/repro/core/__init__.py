@@ -33,6 +33,7 @@ from repro.core.serialization import (
     save_state,
     state_from_arrays,
     state_to_arrays,
+    walk_state,
 )
 
 __all__ = [
@@ -53,5 +54,6 @@ __all__ = [
     "state_to_arrays",
     "state_from_arrays",
     "salvage_state",
+    "walk_state",
     "SalvageResult",
 ]

@@ -24,6 +24,9 @@ Persistence is guarded (schema v2):
   subclasses, and :func:`salvage_state` recovers the longest valid prefix
   instead, reporting exactly which token ranges must be recomputed.
 
+Both answers come from one validated walk, :func:`walk_state`, so a
+reader that needs both makes one pass.
+
 Legacy (schema-less) dicts written before v2 still load: they carry no
 checksums to verify, but get full geometry/value validation.
 """
@@ -56,6 +59,7 @@ __all__ = [
     "state_to_arrays",
     "state_from_arrays",
     "salvage_state",
+    "walk_state",
     "save_state",
     "load_state",
     "state_digest",
@@ -84,25 +88,6 @@ def _pack_block(prefix: str, block: ProgressiveBlock, out: Dict[str, np.ndarray]
         packed, length = pack_codes(block.codes[h].reshape(-1), width)
         out[f"{prefix}.codes{h}"] = packed
         out[f"{prefix}.len{h}"] = np.asarray(length, dtype=np.int64)
-
-
-def _unpack_block(prefix: str, arrays: Dict[str, np.ndarray]) -> ProgressiveBlock:
-    bits_arr = arrays[f"{prefix}.bits"].astype(np.int32)
-    shape = tuple(int(x) for x in arrays[f"{prefix}.shape"])
-    codes = np.empty(shape, dtype=np.uint8)
-    for h in range(shape[0]):
-        width = int(bits_arr.reshape(-1)[h])
-        length = int(arrays[f"{prefix}.len{h}"])
-        codes[h] = unpack_codes(arrays[f"{prefix}.codes{h}"], width, length).reshape(
-            shape[1:]
-        )
-    return ProgressiveBlock(
-        codes=codes,
-        s_int=arrays[f"{prefix}.s_int"].astype(np.int16),
-        z_int=arrays[f"{prefix}.z_int"].astype(np.int16),
-        bits=bits_arr,
-        float_scale=arrays[f"{prefix}.float_scale"].astype(np.float64),
-    )
 
 
 def state_to_arrays(state: TurboKVState, checksums: bool = True) -> Dict[str, np.ndarray]:
@@ -154,15 +139,11 @@ def _schema_version(arrays: Dict[str, np.ndarray]) -> int:
     return version
 
 
-def _require(arrays: Dict[str, np.ndarray], key: str) -> np.ndarray:
-    if key not in arrays:
-        raise SchemaError(f"missing array {key!r} (truncated state?)", key=key)
-    return arrays[key]
-
-
 def _checked(arrays: Dict[str, np.ndarray], key: str, verify: bool) -> np.ndarray:
     """Fetch ``key``, verifying its CRC when the schema carries one."""
-    arr = _require(arrays, key)
+    if key not in arrays:
+        raise SchemaError(f"missing array {key!r} (truncated state?)", key=key)
+    arr = arrays[key]
     if verify:
         crc_key = checksum_key(key)
         if crc_key not in arrays:
@@ -250,7 +231,7 @@ def _load_block(
                 f"{prefix}.s_int has entries < 1 (zeroed integer scale)",
                 key=f"{prefix}.s_int",
             )
-        _checked(arrays, f"{prefix}.z_int", verify)
+        z_int = _checked(arrays, f"{prefix}.z_int", verify)
         float_scale = _checked(arrays, f"{prefix}.float_scale", verify)
         fs = np.asarray(float_scale, dtype=np.float64)
         if not np.all(np.isfinite(fs)) or np.any(fs <= 0):
@@ -258,6 +239,7 @@ def _load_block(
                 f"{prefix}.float_scale non-finite or non-positive",
                 key=f"{prefix}.float_scale",
             )
+        codes = np.empty(shape, dtype=np.uint8)
         for h in range(n_heads):
             width = int(bits.reshape(-1)[h])
             declared = _as_int(arrays, f"{prefix}.len{h}", verify)
@@ -274,7 +256,14 @@ def _load_block(
                     f"needs {need} for {declared} {width}-bit codes",
                     key=f"{prefix}.codes{h}",
                 )
-        halves[part] = _unpack_block(prefix, arrays)
+            codes[h] = unpack_codes(payload, width, declared).reshape(shape[1:])
+        halves[part] = ProgressiveBlock(
+            codes=codes,
+            s_int=s_int.astype(np.int16),
+            z_int=z_int.astype(np.int16),
+            bits=bits,
+            float_scale=float_scale.astype(np.float64),
+        )
     return CacheBlock(k=halves["k"], v=halves["v"], length=length)
 
 
@@ -334,37 +323,26 @@ def _load_buffer(
     return buffer
 
 
-def state_from_arrays(arrays: Dict[str, np.ndarray]) -> TurboKVState:
-    """Inverse of :func:`state_to_arrays`, with full validation.
-
-    Raises a typed :class:`CacheCorruptionError` subclass on the first
-    problem found; use :func:`salvage_state` to recover what's intact
-    instead.
-    """
-    version = _schema_version(arrays)
-    verify = version >= 2
-    n_heads, head_dim, block_size, n_blocks, head_bits = _validate_meta(arrays, verify)
-    cache = QuantizedKVCache(
-        n_heads, head_dim, head_bits=head_bits, block_size=block_size
-    )
+def _declared_total(arrays: Dict[str, np.ndarray], version: int, n_blocks: int) -> int:
+    """Tokens a damaged state declared: v2's ``meta.seq_len``, else (legacy)
+    the declared block lengths plus the staged buffer tokens."""
+    if version >= 2:
+        try:
+            return _as_int(arrays, "meta.seq_len", False)
+        except CacheCorruptionError:
+            pass
+    total = 0
     for i in range(n_blocks):
-        cache.blocks.append(
-            _load_block(arrays, i, n_heads, head_dim, block_size, verify)
-        )
-    buffer = _load_buffer(arrays, n_heads, head_dim, verify)
-    state = TurboKVState(cache=cache, buffer=buffer, head_bits=head_bits)
-    if verify:
-        declared = _as_int(arrays, "meta.seq_len", verify)
-        if declared != state.seq_len:
-            raise GeometryError(
-                f"declared seq_len {declared} != reconstructed {state.seq_len}",
-                key="meta.seq_len",
-            )
-    return state
+        try:
+            total += _as_int(arrays, f"block{i}.length", False)
+        except CacheCorruptionError:
+            pass
+    staged = arrays.get("buffer.k_codes")
+    return total + (staged.shape[1] if getattr(staged, "ndim", 0) == 3 else 0)
 
 
 # --------------------------------------------------------------------------
-# Salvage
+# The walk: strict loading and salvage are two views of one pass
 # --------------------------------------------------------------------------
 
 @dataclass
@@ -408,48 +386,38 @@ class SalvageResult:
         )
 
 
-def salvage_state(arrays: Dict[str, np.ndarray]) -> SalvageResult:
-    """Best-effort recovery of a corrupted serialized state.
+def walk_state(
+    arrays: Dict[str, np.ndarray],
+) -> Tuple[SalvageResult, Optional[CacheCorruptionError]]:
+    """The one validated pass over a serialized state.
 
-    Metadata must be intact (there is nothing to salvage without
-    geometry) — a corrupt meta raises.  Blocks are validated in order;
-    the first failure truncates the cache there.  A corrupt buffer is
-    replaced by an empty one.  Every dropped token lands in
-    ``recompute_ranges`` so the caller knows exactly what to regenerate —
-    corruption is never silently decoded into garbage.
+    Validates the metadata (an error there raises: nothing can be
+    salvaged without geometry), then the blocks in order up to the first
+    failure, then the buffer, recording each typed error.  Returns the
+    salvage of what survived and the error strict loading raises: the
+    first one recorded, else a mismatched v2 ``meta.seq_len``, else None.
     """
     version = _schema_version(arrays)
     verify = version >= 2
     n_heads, head_dim, block_size, n_blocks, head_bits = _validate_meta(arrays, verify)
-
-    result_errors: List[CacheCorruptionError] = []
     cache = QuantizedKVCache(
         n_heads, head_dim, head_bits=head_bits, block_size=block_size
     )
-    dropped: List[int] = []
-    declared_lengths: List[Optional[int]] = []
-    for i in range(n_blocks):
-        try:
-            declared_lengths.append(_as_int(arrays, f"block{i}.length", False))
-        except CacheCorruptionError:
-            declared_lengths.append(None)
-    first_bad: Optional[int] = None
+    errors: List[CacheCorruptionError] = []
     for i in range(n_blocks):
         try:
             block = _load_block(arrays, i, n_heads, head_dim, block_size, verify)
         except CacheCorruptionError as err:
-            result_errors.append(err)
-            first_bad = i
+            errors.append(err)
             break
         cache.blocks.append(block)
-    if first_bad is not None:
-        dropped = list(range(first_bad, n_blocks))
+    dropped = list(range(len(cache.blocks), n_blocks))
 
     buffer_dropped = False
     try:
         buffer = _load_buffer(arrays, n_heads, head_dim, verify)
     except CacheCorruptionError as err:
-        result_errors.append(err)
+        errors.append(err)
         buffer_dropped = True
         capacity = block_size
         try:
@@ -460,7 +428,7 @@ def salvage_state(arrays: Dict[str, np.ndarray]) -> SalvageResult:
             n_heads, head_dim, capacity=capacity,
             k_scale=np.ones((n_heads, 1, 1)), v_scale=np.ones((n_heads, 1, 1)),
         )
-    if first_bad is not None and len(buffer):
+    if dropped and len(buffer):
         # Staged buffer tokens sit *after* the dropped blocks in sequence
         # order; keeping them would leave a gap.  Drop them (the frozen
         # scales stay — they are still the right scales for re-appends).
@@ -470,37 +438,58 @@ def salvage_state(arrays: Dict[str, np.ndarray]) -> SalvageResult:
             k_scale=buffer.k_scale, v_scale=buffer.v_scale,
             clamp_code=buffer.clamp_code,
         )
-
     state = TurboKVState(cache=cache, buffer=buffer, head_bits=head_bits)
+
+    strict_error = errors[0] if errors else None
+    if verify and not errors:
+        try:
+            declared = _as_int(arrays, "meta.seq_len", True)
+            if declared != state.seq_len:
+                raise GeometryError(
+                    f"declared seq_len {declared} != reconstructed {state.seq_len}",
+                    key="meta.seq_len",
+                )
+        except CacheCorruptionError as err:
+            strict_error = err
 
     # Token accounting: [0, kept) survives; everything after the first
     # corruption must be recomputed.
-    kept = state.cache.seq_len
-    total: Optional[int] = None
-    try:
-        total = _as_int(arrays, "meta.seq_len", False) if version >= 2 else None
-    except CacheCorruptionError:
-        total = None
-    if total is None:
-        # Legacy best-effort: declared block lengths + staged buffer.
-        total = sum(x for x in declared_lengths if x is not None)
-        if "buffer.k_codes" in arrays and not buffer_dropped:
-            total += len(buffer)
-        elif "buffer.k_codes" in arrays:
-            kb = arrays["buffer.k_codes"]
-            total += kb.shape[1] if getattr(kb, "ndim", 0) == 3 else 0
-    recompute: List[Tuple[int, int]] = []
-    end_valid = kept + (len(buffer) if not buffer_dropped and first_bad is None else 0)
-    if first_bad is not None or buffer_dropped:
-        if total > end_valid:
-            recompute.append((end_valid, total))
-    return SalvageResult(
+    kept = cache.seq_len
+    total = _declared_total(arrays, version, n_blocks) if dropped or buffer_dropped else 0
+    result = SalvageResult(
         state=state,
         dropped_blocks=dropped,
         buffer_dropped=buffer_dropped,
-        recompute_ranges=recompute,
-        errors=result_errors,
+        recompute_ranges=[(kept, total)] if total > kept else [],
+        errors=errors,
     )
+    return result, strict_error
+
+
+def state_from_arrays(arrays: Dict[str, np.ndarray]) -> TurboKVState:
+    """Inverse of :func:`state_to_arrays`, with full validation.
+
+    Raises a typed :class:`CacheCorruptionError` subclass on the first
+    problem found; use :func:`salvage_state` to recover what's intact
+    instead.
+    """
+    result, error = walk_state(arrays)
+    if error is not None:
+        raise error
+    return result.state
+
+
+def salvage_state(arrays: Dict[str, np.ndarray]) -> SalvageResult:
+    """Best-effort recovery of a corrupted serialized state.
+
+    Metadata must be intact (there is nothing to salvage without
+    geometry) — a corrupt meta raises.  Blocks are validated in order;
+    the first failure truncates the cache there.  A corrupt buffer is
+    replaced by an empty one.  Every dropped token lands in
+    ``recompute_ranges`` so the caller knows exactly what to regenerate —
+    corruption is never silently decoded into garbage.
+    """
+    return walk_state(arrays)[0]
 
 
 def state_digest(arrays: Dict[str, np.ndarray]) -> str:

@@ -37,13 +37,11 @@ from repro.core import (
     TurboAttention,
     TurboConfig,
     TurboKVState,
-    salvage_state,
-    state_from_arrays,
     state_to_arrays,
+    walk_state,
 )
 from repro.guard import (
     CORRUPTION_KINDS,
-    CacheCorruptionError,
     ChaosInjector,
     EscalationConfig,
     GuardConfig,
@@ -100,12 +98,9 @@ def _chaos_matrix(seed: int = 7) -> List[ChaosCell]:
     for kind in CORRUPTION_KINDS:
         for stealth in (False, True):
             corrupted, event = injector.corrupt(arrays, kind, stealth=stealth)
-            detected: Optional[str] = None
-            try:
-                state_from_arrays(corrupted)
-            except CacheCorruptionError as err:
-                detected = type(err).__name__
-            res = salvage_state(corrupted)
+            # One walk: strict loading's first error and the salvage.
+            res, error = walk_state(corrupted)
+            detected = type(error).__name__ if error is not None else None
             prefix_valid = (
                 not res.recompute_ranges
                 or (

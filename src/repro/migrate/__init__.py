@@ -12,17 +12,18 @@ composes:
   migrates proportionally cheaper than an FP16 one.
 * :mod:`repro.migrate.payload` — the handoff codec: a request's KV state
   is serialized through the checksummed schema of
-  :mod:`repro.core.serialization`, so a corrupted transfer is *detected*
-  (CRC32 per array) and *salvaged* (:func:`~repro.core.serialization.
-  salvage_state` recovers the longest valid block prefix), turning a bad
-  handoff into an exact recompute range instead of a lost request.
+  :mod:`repro.core.serialization`, and one walk (:func:`verify_payload`,
+  which snapshot recovery shares) *detects* a corrupted transfer (CRC32
+  per array) and *salvages* its longest valid block prefix, turning a
+  bad handoff into an exact recompute range instead of a lost request.
 
-:class:`MigrationConfig` holds the policy knobs; the seeded fault model
-for the link itself (drops, corruption, congestion stalls) lives with
-the other fault machinery in :mod:`repro.cluster.faults`.
+:class:`MigrationConfig` holds the policy knobs on top of the
+:class:`PayloadPolicy` it shares with :class:`repro.recover.RecoverConfig`;
+the seeded fault model for the link itself (drops, corruption, congestion
+stalls) lives with the other fault machinery in :mod:`repro.cluster.faults`.
 """
 
-from repro.migrate.config import MigrationConfig
+from repro.migrate.config import MigrationConfig, PayloadPolicy
 from repro.migrate.link import kv_wire_bytes, migration_transfer_time
 from repro.migrate.payload import (
     HandoffOutcome,
@@ -30,10 +31,12 @@ from repro.migrate.payload import (
     corrupt_payload,
     miniature_payload,
     receive_payload,
+    verify_payload,
 )
 
 __all__ = [
     "MigrationConfig",
+    "PayloadPolicy",
     "kv_wire_bytes",
     "migration_transfer_time",
     "HandoffOutcome",
@@ -41,4 +44,5 @@ __all__ = [
     "corrupt_payload",
     "miniature_payload",
     "receive_payload",
+    "verify_payload",
 ]

@@ -1,14 +1,46 @@
-"""Policy knobs for prefill→decode KV migration."""
+"""Policy knobs for prefill→decode KV migration and its payloads."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["MigrationConfig"]
+__all__ = ["MigrationConfig", "PayloadPolicy"]
 
 
 @dataclass(frozen=True)
-class MigrationConfig:
+class PayloadPolicy:
+    """How the miniature-but-faithful serialized KV payload of a handoff
+    (:class:`MigrationConfig`) or a snapshot epoch
+    (:class:`repro.recover.RecoverConfig`) is shaped and read back: the
+    real context maps proportionally onto ``payload_blocks`` quantized
+    blocks of ``payload_block_tokens`` tokens x ``payload_heads`` heads x
+    ``payload_head_dim`` dims, so corruption and salvage run the
+    production code of :mod:`repro.core.serialization` on small arrays.
+    """
+
+    #: Keep a damaged payload's longest valid block prefix.  ``False``
+    #: keeps nothing (a full re-prefill; an unusable snapshot epoch) —
+    #: the ablation the harnesses use to show salvage's value.
+    salvage: bool = True
+    payload_blocks: int = 8
+    payload_block_tokens: int = 16
+    payload_heads: int = 2
+    payload_head_dim: int = 8
+
+    def __post_init__(self) -> None:
+        if self.payload_blocks < 2:
+            raise ValueError("payload_blocks must be >= 2 (salvage needs a prefix)")
+        if min(self.payload_block_tokens, self.payload_heads, self.payload_head_dim) < 1:
+            raise ValueError("payload geometry fields must be positive")
+
+    @property
+    def payload_tokens(self) -> int:
+        """Miniature tokens one payload carries."""
+        return self.payload_blocks * self.payload_block_tokens
+
+
+@dataclass(frozen=True)
+class MigrationConfig(PayloadPolicy):
     """How KV handoffs behave on the way to a decode replica.
 
     The *rates* of migration faults (drop/corrupt/link-stall) live with
@@ -17,29 +49,11 @@ class MigrationConfig:
     response-side policy.
     """
 
-    #: Recover corrupted arrivals via :func:`repro.core.serialization.
-    #: salvage_state` (resume decode from the longest valid block prefix,
-    #: re-prefilling only the tail).  ``False`` degrades a corrupt handoff
-    #: to a full re-prefill on the destination — the ablation the harness
-    #: uses to show salvage's value.
-    salvage: bool = True
     #: Wait before re-offering a handoff the destination engine DEFERred
     #: (KV pressure; the request stays pinned on the source meanwhile).
     defer_retry_s: float = 0.25
-    #: Miniature serialized-payload geometry used to *faithfully* exercise
-    #: the checksum/salvage path on corrupt rolls without serializing a
-    #: full-size cache: the real prompt maps proportionally onto
-    #: ``payload_blocks`` quantized blocks of ``payload_block_tokens``
-    #: tokens x ``payload_heads`` heads x ``payload_head_dim`` dims.
-    payload_blocks: int = 8
-    payload_block_tokens: int = 16
-    payload_heads: int = 2
-    payload_head_dim: int = 8
 
     def __post_init__(self) -> None:
         if self.defer_retry_s <= 0:
             raise ValueError("defer_retry_s must be positive")
-        if self.payload_blocks < 2:
-            raise ValueError("payload_blocks must be >= 2 (salvage needs a prefix)")
-        if min(self.payload_block_tokens, self.payload_heads, self.payload_head_dim) < 1:
-            raise ValueError("payload geometry fields must be positive")
+        super().__post_init__()

@@ -7,10 +7,11 @@ builds a miniature-but-faithful :class:`~repro.core.turbo.TurboKVState`
 — real quantized blocks, real CRC32 checksums, the real v2 schema — and
 the request's prompt maps proportionally onto the miniature blocks.
 The corruption/salvage path is therefore *exactly* the production code
-path of :mod:`repro.core.serialization`, not a coin flip: a corrupted
-payload is detected by the per-array checksum, salvaged to its longest
-valid block prefix, and the kept fraction scales back up to an exact
-token range the decode replica must re-prefill.
+path of :mod:`repro.core.serialization`, not a coin flip: one walk
+(:func:`verify_payload`, which snapshot epochs share) detects a corrupted
+payload by the per-array checksum and salvages its longest valid block
+prefix, and the kept fraction scales back up to an exact token range the
+decode replica must re-prefill.
 
 All randomness is keyed ``[seed, request_id, attempt]`` so payloads are
 deterministic per attempt and never perturb any other RNG stream.
@@ -19,24 +20,16 @@ deterministic per attempt and never perturb any other RNG stream.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Sequence, Tuple, Union
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.buffer import DecodeBuffer
 from repro.core.kvcache import QuantizedKVCache
-from repro.core.serialization import (
-    CacheCorruptionError,
-    salvage_state,
-    state_from_arrays,
-    state_to_arrays,
-)
+from repro.core.serialization import CacheCorruptionError, state_to_arrays, walk_state
 from repro.core.turbo import TurboKVState
-from repro.migrate.config import MigrationConfig
+from repro.migrate.config import MigrationConfig, PayloadPolicy
 from repro.quant.progressive import LEGAL_BITS
-
-if TYPE_CHECKING:
-    from repro.recover.config import RecoverConfig
 
 __all__ = [
     "HandoffOutcome",
@@ -44,6 +37,7 @@ __all__ = [
     "corrupt_payload",
     "miniature_payload",
     "receive_payload",
+    "verify_payload",
 ]
 
 
@@ -81,9 +75,7 @@ class HandoffOutcome:
 
 
 def miniature_payload(
-    key: Sequence[int],
-    bits: int,
-    geometry: Union[MigrationConfig, RecoverConfig],
+    key: Sequence[int], bits: int, geometry: PayloadPolicy
 ) -> Dict[str, np.ndarray]:
     """Serialize a miniature faithful KV state drawn from the stream ``key``.
 
@@ -160,6 +152,25 @@ def corrupt_payload(
     return out
 
 
+def verify_payload(
+    arrays: Dict[str, np.ndarray], policy: PayloadPolicy
+) -> Tuple[int, bool]:
+    """Walk one miniature payload once: ``(kept_tokens, damaged)``.
+
+    ``damaged`` is whether strict loading would raise.  An intact payload
+    keeps all ``policy.payload_tokens``; a damaged one keeps its salvaged
+    block prefix when ``policy.salvage`` is set, else nothing; one whose
+    metadata is unreadable keeps nothing.
+    """
+    try:
+        result, error = walk_state(arrays)
+    except CacheCorruptionError:
+        return 0, True
+    if error is None:
+        return policy.payload_tokens, False
+    return (result.state.cache.seq_len if policy.salvage else 0), True
+
+
 def receive_payload(
     arrays: Dict[str, np.ndarray],
     prompt_len: int,
@@ -170,23 +181,13 @@ def receive_payload(
     Intact payloads resume decode at ``prompt_len`` (nothing to redo).
     Corrupt payloads either salvage — the miniature kept-token fraction
     scales onto the prompt, rounding *down* so the resume point never
-    claims unverified tokens — or, with salvage disabled, degrade to a
-    full re-prefill on the destination.
+    claims unverified tokens — or, with salvage disabled or the metadata
+    unreadable, degrade to a full re-prefill on the destination.
     """
-    total = config.payload_blocks * config.payload_block_tokens
-    try:
-        state_from_arrays(arrays)
-    except CacheCorruptionError:
-        if not config.salvage:
-            return HandoffOutcome(
-                valid_tokens=0, recompute_range=(0, prompt_len), salvaged=False
-            )
-        result = salvage_state(arrays)
-        kept = result.state.cache.seq_len
-        valid = prompt_len * kept // total
-        return HandoffOutcome(
-            valid_tokens=valid, recompute_range=(valid, prompt_len), salvaged=True
-        )
+    kept, damaged = verify_payload(arrays, config)
+    valid = prompt_len * kept // config.payload_tokens
     return HandoffOutcome(
-        valid_tokens=prompt_len, recompute_range=(prompt_len, prompt_len), salvaged=False
+        valid_tokens=valid,
+        recompute_range=(valid, prompt_len),
+        salvaged=damaged and config.salvage,
     )

@@ -23,11 +23,11 @@ On restart the recovery ladder runs, newest epoch first:
 
 1. **intact snapshot** — resume every captured request at its exact
    progress (the recompute range is empty);
-2. **salvage** — a corrupt epoch (detected by the payload checksums, the
-   same machinery :mod:`repro.migrate` uses on the wire) keeps its
-   longest valid block prefix; the kept fraction maps onto each
-   request's context, rounding down so the resume point never claims
-   unverified tokens;
+2. **salvage** — a corrupt epoch (detected by the payload checksums in
+   the one walk :func:`repro.migrate.verify_payload` makes, the same
+   verifier a handoff uses on the wire) keeps its longest valid block
+   prefix; the kept fraction maps onto each request's context, rounding
+   down so the resume point never claims unverified tokens;
 3. **previous epoch** — an unsalvageable epoch degrades to the one
    before it;
 4. **cold start** — no usable epoch: every held request re-enters the
@@ -44,13 +44,8 @@ from typing import Deque, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.serialization import (
-    CacheCorruptionError,
-    salvage_state,
-    state_from_arrays,
-)
 from repro.guard.chaos import CORRUPTION_KINDS, ChaosInjector
-from repro.migrate import kv_wire_bytes, miniature_payload
+from repro.migrate import kv_wire_bytes, miniature_payload, verify_payload
 from repro.recover.config import RecoverConfig
 from repro.recover.wal import WriteAheadLog
 
@@ -275,7 +270,8 @@ def verify_snapshot(
     Returns ``(kept_tokens, total_tokens)`` over the miniature payload:
     ``kept == total`` for an intact epoch, ``0`` for an unusable one
     (salvage disabled, dead prefix, or unsalvageable metadata) — the
-    ladder then degrades to the previous epoch.
+    ladder then degrades to the previous epoch.  A corrupt epoch is read
+    by :func:`repro.migrate.verify_payload`, one walk over its arrays.
     """
     total = config.payload_tokens
     if not snapshot.corrupt:
@@ -286,13 +282,4 @@ def verify_snapshot(
     damaged, _event = corrupt_snapshot_payload(
         arrays, snapshot.replica_id, snapshot.epoch, config
     )
-    try:
-        state_from_arrays(damaged)
-        return total, total  # the damage missed everything checksummed
-    except CacheCorruptionError:
-        pass
-    try:
-        result = salvage_state(damaged)
-    except CacheCorruptionError:
-        return 0, total  # metadata gone: nothing to anchor a prefix to
-    return int(result.state.cache.seq_len), total
+    return verify_payload(damaged, config)[0], total

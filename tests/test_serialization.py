@@ -12,6 +12,7 @@ from repro.core.serialization import (
     state_from_arrays,
     state_to_arrays,
 )
+from tests._reference_kernels import reference_state_from_arrays
 
 
 @pytest.fixture
@@ -83,3 +84,30 @@ class TestRoundTrip:
         restored = state_from_arrays(state_to_arrays(st))
         assert len(restored.buffer) == 0
         assert restored.seq_len == st.seq_len
+
+    def test_load_copies_what_the_two_walk_load_copied(self, state):
+        """Loading casts and copies the same arrays the two-walk loader
+        did: every block array is the state's own, and the buffer's
+        float64 scales stay views of the input (the buffer reassigns its
+        scales, never writes them in place)."""
+        _, st = state
+        arrays = state_to_arrays(st)
+
+        def views_of_input(restored):
+            loaded = {
+                "head_bits": restored.head_bits,
+                "buffer.k_scale": restored.buffer.k_scale,
+                "buffer.v_scale": restored.buffer.v_scale,
+            }
+            for i, block in enumerate(restored.cache.blocks):
+                for part, half in (("k", block.k), ("v", block.v)):
+                    for name in ("codes", "s_int", "z_int", "bits", "float_scale"):
+                        loaded[f"block{i}.{part}.{name}"] = getattr(half, name)
+            return sorted(
+                name for name, arr in loaded.items()
+                if any(np.shares_memory(arr, src) for src in arrays.values())
+            )
+
+        views = views_of_input(state_from_arrays(arrays))
+        assert views == views_of_input(reference_state_from_arrays(arrays))
+        assert views == ["buffer.k_scale", "buffer.v_scale"]
