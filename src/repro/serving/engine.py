@@ -1064,9 +1064,14 @@ class ServingEngine:
 
         A homogeneous stretch is one where :meth:`step` would do nothing
         but batched decode over a fixed set of RUNNING requests: no
-        waiting queue (so no admission/shed attempts), no prefilling, no
-        overload controllers, no prefix pool, and every request past its
-        first token (so no lifecycle transitions, hence no trace marks).
+        waiting queue (so no admission, and high-water shedding finds no
+        victim), no prefilling, no brownout controller (it observes
+        every step), no prefix pool (its eviction sweep runs every step),
+        and every request past its first token (so no lifecycle
+        transitions, hence no trace marks).  A prefill-only engine
+        qualifies too: between steps its running batch holds RUNNING
+        requests only as local-decode fallbacks, which :meth:`step`
+        decodes as a unified engine does.
         Under those conditions each step is fully determined by the
         batch's context trajectory, so the per-step prices are one
         gather from the batch's decode price table (see
@@ -1084,14 +1089,11 @@ class ServingEngine:
         transitions).  Returns the number of steps taken; 0 means "no
         homogeneous stretch here — take a scalar :meth:`step`".
         """
-        cfg = self.config
         if (
             not self.running.ids
             or self.waiting
             or self.prefix_pool is not None
             or self.brownout is not None
-            or cfg.prefill_only
-            or cfg.shed_high_water is not None
         ):
             return 0
         cols = self.columns

@@ -380,3 +380,74 @@ class TestBatchedCommitMatchesScalarLoop:
             ), "brownout never narrowed an admission"
         if case == "prefill-only-local":
             assert any(r.local_decode for r in batched.records.values())
+
+
+def _drive_local_fallbacks(engine, requests):
+    """Prefill-pool run where every handoff falls back to local decode,
+    advancing in bulk wherever ``decode_steps`` takes a stretch."""
+    engine.start()
+    for request in requests:
+        engine.submit(request)
+    while engine.busy:
+        if engine.decode_steps() == 0:
+            engine.step()
+        for rec in engine.take_handoffs():
+            engine.resume_local_decode(rec.request.request_id)
+    return engine.summarize()
+
+
+def _bulk_case_run(case):
+    requests = poisson_workload(
+        40, arrival_rate=4.0, prompt_range=(128, 1024), gen_range=(96, 320),
+        rng=np.random.default_rng(31), n_sessions=8,
+    )
+    config = {
+        "shed-high-water": EngineConfig(
+            shed_high_water=0.8, kv_budget_bytes=100 * BLOCK_BYTES
+        ),
+        "prefill-only-local": EngineConfig(prefill_only=True),
+    }[case]
+    sink = ListTraceSink()
+    engine = ServingEngine(PHI3, METHODS["turbo4"], config, trace=sink)
+    bulk = []
+    real = engine.decode_steps
+
+    def counting(t_limit=None):
+        k = real(t_limit)
+        bulk.append(k)
+        return k
+
+    engine.decode_steps = counting
+    if config.prefill_only:
+        metrics = _drive_local_fallbacks(engine, requests)
+    else:
+        metrics = engine.run(requests)
+    return engine, metrics, trace_digest(sink.records), sum(bulk)
+
+
+class TestBulkDecodeUnderSheddingAndPrefillPools:
+    """High-water shedding and a prefill-only engine leave a decode
+    stretch to ``decode_steps``: with nothing queued there is nothing to
+    shed, and a prefill pool's running batch holds only local-decode
+    fallbacks between steps.  Each bulk run ends exactly where advancing
+    one ``step`` at a time does."""
+
+    @pytest.mark.parametrize("case", ["shed-high-water", "prefill-only-local"])
+    def test_identical_to_per_step_advancing(self, case, monkeypatch):
+        bulk, bulk_metrics, bulk_digest, bulk_steps = _bulk_case_run(case)
+        monkeypatch.setattr(ServingEngine, "decode_steps", lambda self, t_limit=None: 0)
+        loop, loop_metrics, loop_digest, loop_steps = _bulk_case_run(case)
+
+        assert bulk_steps > 0, "no bulk stretch was taken"
+        assert loop_steps == 0
+        assert bulk.clock == loop.clock
+        assert bulk.iterations == loop.iterations
+        assert bulk.records == loop.records
+        assert bulk_metrics == loop_metrics
+        assert bulk_digest == loop_digest
+        assert bulk.allocator.free_blocks == loop.allocator.free_blocks
+        assert bulk.allocator._allocs == loop.allocator._allocs
+        if case == "shed-high-water":
+            assert bulk.high_water_sheds == loop.high_water_sheds > 0
+        else:
+            assert all(r.local_decode for r in bulk.records.values())
