@@ -2,7 +2,9 @@
 
 The byte count is the exact KV footprint of the request at its admitted
 width: ``2`` (K and V) x ``n_kv_heads * head_dim`` x ``n_layers`` x
-tokens x ``kv_bits / 8``.  Because ``kv_bits`` is the *effective* rate
+tokens x ``kv_bits / 8``, the per-token cost
+(:meth:`~repro.perf.e2e.ModelGeometry.kv_bytes_per_token`) the
+allocator charges too.  Because ``kv_bits`` is the *effective* rate
 (codes + amortized scales, e.g. turbo4's 4.3), the ratio between two
 widths on the wire matches the allocator's ``bytes_scale`` exactly —
 a 4.3-bit cache costs 4.3/16 of FP16 to ship, which is the economic
@@ -25,8 +27,7 @@ def kv_wire_bytes(model: ModelGeometry, tokens: int, kv_bits: float) -> float:
         return 0.0
     if kv_bits <= 0:
         raise ValueError("kv_bits must be positive")
-    per_token = 2.0 * model.n_kv_heads * model.head_dim * model.n_layers * kv_bits / 8.0
-    return per_token * tokens
+    return model.kv_bytes_per_token(kv_bits) * tokens
 
 
 def migration_transfer_time(

@@ -58,6 +58,12 @@ class ModelGeometry:
     def weight_bytes(self) -> float:
         return self.linear_params * self.weight_bits / 8.0
 
+    def kv_bytes_per_token(self, kv_bits: float) -> float:
+        """Ideal-packed bytes of one token's K and V over all layers at
+        ``kv_bits`` per value: the allocator's and the migration wire's
+        per-token cost."""
+        return 2.0 * self.n_kv_heads * self.head_dim * self.n_layers * kv_bits / 8.0
+
     @classmethod
     def phi3_medium(cls) -> "ModelGeometry":
         return cls(

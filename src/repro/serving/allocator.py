@@ -7,7 +7,9 @@ block is partially used (internal fragmentation, reported).
 
 Byte cost per token derives from the attention method's effective KV bits
 and the model geometry — the same arithmetic as
-:class:`repro.perf.memory.MemoryModel`, restated per token:
+:class:`repro.perf.memory.MemoryModel`, restated per token by
+:meth:`repro.perf.e2e.ModelGeometry.kv_bytes_per_token` (which the
+migration wire cost shares):
 
     bytes/token = 2 * kv_heads * head_dim * n_layers * kv_bits / 8
 
@@ -70,9 +72,7 @@ class PagedKVAllocator:
         if block_tokens <= 0:
             raise ValueError("block_tokens must be positive")
         self.block_tokens = block_tokens
-        self.bytes_per_token = (
-            2.0 * model.n_kv_heads * model.head_dim * model.n_layers * method.kv_bits / 8.0
-        )
+        self.bytes_per_token = model.kv_bytes_per_token(method.kv_bits)
         if paper_harness:
             replication = max(1, model.n_heads // model.n_kv_heads)
             self.bytes_per_token *= method.cache_workspace_factor * replication

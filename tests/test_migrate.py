@@ -16,6 +16,7 @@ from repro.migrate import (
 from repro.perf.attention_costs import METHODS
 from repro.perf.e2e import ModelGeometry
 from repro.perf.gpu import A100_80GB, H100_80GB
+from repro.serving import PagedKVAllocator
 from tests._reference_kernels import (
     ODD_PAYLOAD_GEOMETRY,
     assert_same_payload,
@@ -55,6 +56,14 @@ class TestWireBytes:
             assert kv_wire_bytes(model, 1234, bits) / fp16 == pytest.approx(
                 bits / 16.0
             )
+
+    @pytest.mark.parametrize("method", list(METHODS))
+    def test_one_token_is_the_allocators_ideal_packed_token(self, model, method):
+        bits = METHODS[method].kv_bits
+        alloc = PagedKVAllocator(
+            model, METHODS[method], budget_bytes=2**40, paper_harness=False
+        )
+        assert alloc.bytes_per_token == kv_wire_bytes(model, 1, bits)
 
     def test_rejects_nonpositive_bits(self, model):
         with pytest.raises(ValueError):
