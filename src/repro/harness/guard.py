@@ -98,7 +98,6 @@ def _chaos_matrix(seed: int = 7) -> List[ChaosCell]:
     for kind in CORRUPTION_KINDS:
         for stealth in (False, True):
             corrupted, event = injector.corrupt(arrays, kind, stealth=stealth)
-            # One walk: strict loading's first error and the salvage.
             res, error = walk_state(corrupted)
             detected = type(error).__name__ if error is not None else None
             prefix_valid = (
