@@ -165,10 +165,38 @@ class EngineConfig:
     prefill_only: bool = False
 
     def __post_init__(self) -> None:
+        if self.prefill_chunk is not None and self.prefill_chunk < 1:
+            raise ValueError("prefill_chunk must be >= 1 (or None)")
         if self.deadline_shed and self.slo is None:
             raise ValueError("deadline_shed requires an slo")
         if self.shed_high_water is not None and self.shed_high_water <= 0:
             raise ValueError("shed_high_water must be positive")
+
+
+@dataclass
+class _Stretch:
+    """A priced bulk stretch (see :meth:`ServingEngine.decode_steps`).
+
+    ``clocks[j]`` is the engine clock before step ``j`` and ``clocks[-1]``
+    the clock after the last step; ``done`` steps are committed.  After
+    ``j`` steps the decoders have generated ``gen0 + j`` tokens and grown
+    to ``tokens0 + j``, and the prefill head (column slot ``head``, -1
+    for none) has prefilled ``prefilled0 + chunk * j``.
+    """
+
+    #: ``RunningBatch.slots()`` at pricing; any membership change
+    #: rebuilds that tuple, so identity means the same members.
+    slots: Tuple[np.ndarray, np.ndarray]
+    time_scale: float
+    clocks: np.ndarray
+    dec_slots: np.ndarray
+    dec_alloc: np.ndarray
+    gen0: np.ndarray
+    tokens0: np.ndarray
+    head: int
+    prefilled0: int
+    chunk: int
+    done: int = 0
 
 
 class ServingEngine:
@@ -212,7 +240,6 @@ class ServingEngine:
         self._latency_cache: Dict[tuple, float] = {}
         self._decode_tables: Dict[Tuple[float, int], Tuple[int, np.ndarray]] = {}
         self._table_cells = 0
-        self._method_cache: Dict[float, MethodSpec] = {}
         self.start()
 
     # -- latency helpers ------------------------------------------------------
@@ -234,11 +261,7 @@ class ServingEngine:
         """The cost-model spec at a (possibly browned-out) KV width."""
         if kv_bits is None or kv_bits == self.method.kv_bits:
             return self.method
-        spec = self._method_cache.get(kv_bits)
-        if spec is None:
-            spec = self.method.with_bits(kv_bits)
-            self._method_cache[kv_bits] = spec
-        return spec
+        return self.method.with_bits(kv_bits)
 
     def _make_room(self) -> bool:
         """Drop every memoized price if the budget is spent; True if so."""
@@ -378,6 +401,9 @@ class ServingEngine:
         self.clock = 0.0
         self.iterations = 0
         self.peak_running = 0
+        #: The bulk stretch a ``t_limit`` cut short, kept for the next
+        #: :meth:`decode_steps` call to continue (see there).
+        self._stretch: Optional[_Stretch] = None
         #: Tokens lost to ``cancel`` of in-flight requests whose records
         #: left the engine (the record's own waste fields travel with it).
         self.cancelled_wasted_prefill_tokens = 0
@@ -790,6 +816,7 @@ class ServingEngine:
 
         Returns the simulated seconds consumed; advances :attr:`clock`.
         """
+        self._stretch = None
         self.iterations += 1
         records, waiting, running = self.records, self.waiting, self.running
         # Reads go through the live id list; mutations through ``running``,
@@ -1060,97 +1087,196 @@ class ServingEngine:
         return step_time
 
     def decode_steps(self, t_limit: Optional[float] = None) -> int:
-        """Advance many *homogeneous* decode iterations in one pass.
+        """Advance many iterations in one pass, wherever :meth:`step`
+        would only price, grow and count.
 
-        A homogeneous stretch is one where :meth:`step` would do nothing
-        but batched decode over a fixed set of RUNNING requests: no
-        waiting queue (so no admission, and high-water shedding finds no
-        victim), no prefilling, no brownout controller (it observes
-        every step), no prefix pool (its eviction sweep runs every step),
-        and every request past its first token (so no lifecycle
-        transitions, hence no trace marks).  A prefill-only engine
-        qualifies too: between steps its running batch holds RUNNING
-        requests only as local-decode fallbacks, which :meth:`step`
-        decodes as a unified engine does.
-        Under those conditions each step is fully determined by the
-        batch's context trajectory, so the per-step prices are one
-        gather from the batch's decode price table (see
-        :meth:`_decode_prices`) and the per-step allocator growth is one
-        :meth:`bulk_grow` — with
-        clock, generated counts, and block state bit-identical to calling
-        :meth:`step` that many times (the clock is folded left-to-right
-        via ``np.add.accumulate``, the same float additions ``step``
-        performs).
+        Such a *stretch* has no waiting queue (so no admission, and
+        high-water shedding finds no victim) and no brownout controller
+        (it observes every step).  Every member is RUNNING and past its
+        first token, or PREFILLING under chunked prefill: ``step``
+        advances the oldest PREFILLING member, the *head*, by one chunk,
+        the others wait, and the RUNNING members decode.  A prefill-only
+        engine qualifies too: between steps its RUNNING members are
+        local-decode fallbacks, which ``step`` decodes as a unified
+        engine does.  With a prefix pool, no decoder may still read a
+        shared tail (its copy-on-write is a first decode write), and the
+        stretch's growth must leave allocator utilization at or under
+        ``evict_pressure``; utilization only rises during a stretch, so
+        no step's eviction sweep evicts.  A stretch stops one step short
+        of its first transition: a decoder's finish, or the head's last
+        chunk (its first token, or a prefill pool's handoff).
 
-        Advances until (whichever comes first) the clock reaches
-        ``t_limit`` (the last step may overshoot it, exactly like the
-        scalar loop whose condition is checked *before* each step), or
-        the next step would finish a request (the scalar path owns all
-        transitions).  Returns the number of steps taken; 0 means "no
-        homogeneous stretch here — take a scalar :meth:`step`".
+        Each step's time is ``step``'s float operations in ``step``'s
+        order, ``(0.0 + prefill + decode) * time_scale``, with the chunk
+        priced by :meth:`_prefill_latency` and decode by the batch's
+        table (:meth:`_decode_prices`), folded into the clock left to
+        right by ``np.add.accumulate``.  The growth is one
+        :meth:`~PagedKVAllocator.bulk_grow`; a PREFILLING member's whole
+        prompt was reserved at admission.  Clock, records, allocator and
+        trace end bit-identical to calling :meth:`step` that many times.
+
+        Advances until the clock reaches ``t_limit`` (the last step may
+        overshoot it, as the scalar loop checks its condition *before*
+        each step) or the stretch ends.  A stretch that ``t_limit`` cut
+        is kept: the next call continues its priced clock trajectory if
+        the running batch's slot tuple is the same object, ``time_scale``
+        is unchanged and the clock is where the cut left it (re-pricing
+        would rebuild the same context sums and lanes and fold them from
+        the same clock).  :meth:`step` and :meth:`start` drop it.
+        Returns the number of steps taken; 0 means "take a scalar
+        :meth:`step`".
         """
+        if not self.running.ids or self.waiting or self.brownout is not None:
+            return 0
+        stretch = self._stretch
         if (
-            not self.running.ids
-            or self.waiting
-            or self.prefix_pool is not None
-            or self.brownout is not None
+            stretch is None
+            or stretch.slots is not self.running.slots()
+            or stretch.time_scale != self.time_scale
+            or stretch.clocks[stretch.done] != self.clock
         ):
-            return 0
-        cols = self.columns
-        n = len(self.running.ids)
-        run_slots, alloc_slots = self.running.slots()
-        if not (
-            (cols.status[run_slots] == _RUNNING_CODE).all()
-            and cols.first_flag[run_slots].all()
-        ):
-            return 0
-        gen = cols.generated[run_slots]
-        # Stop one short of the earliest finish: the finishing step has
-        # transitions (marks, releases) the scalar loop must own.  The
-        # whole window is priced even when ``t_limit`` cuts the stretch
-        # short: the prices land in the batch's table, where the next
-        # call over the same batch reads them.
-        k_cap = int((cols.gen_len[run_slots] - gen).min()) - 1
-        if k_cap < 1:
-            return 0
-        if alloc_slots.min() < 0:
-            return 0
-
-        # Latency of each candidate step from the context trajectory
-        # (the batch mean context advances by exactly one per step).
-        ctx_sums = int((cols.prompt_len[run_slots] + gen).sum()) + n * np.arange(
-            k_cap, dtype=np.int64
-        )
-        means = ctx_sums / n
-        bits_col = cols.kv_bits[run_slots]
-        if np.isnan(bits_col).any():
-            mean_bits = None
-        else:
-            mean_bits = float(np.add.accumulate(bits_col)[-1]) / n
-        # ``step``'s context, ``max(int(mean_ctx), 1)``, per step; the
-        # means rise, so the window's ends bound it.
-        kv_lens = np.maximum(np.trunc(means), 1.0).astype(np.int64)
-        base, prices = self._decode_prices(
-            mean_bits, n, int(kv_lens[0]), int(kv_lens[-1])
-        )
-        step_times = prices[kv_lens - base] * self.time_scale
-        clocks = np.add.accumulate(np.concatenate(([self.clock], step_times)))
+            stretch = self._stretch = self._price_stretch()
+            if stretch is None:
+                return 0
+        cap = len(stretch.clocks) - 1
         if t_limit is None:
-            k = k_cap
+            k = cap - stretch.done
         else:
             # Steps run while the *pre-step* clock is below the limit.
-            k = int(np.searchsorted(clocks[:k_cap], t_limit, side="left"))
-        if k < 1:
+            k = int(
+                np.searchsorted(stretch.clocks[stretch.done:cap], t_limit, side="left")
+            )
+        steps = stretch.done + k
+        if k < 1 or not self._grow_stretch(stretch.dec_alloc, stretch.tokens0 + steps):
             return 0
-        if not self.allocator.bulk_grow(
-            alloc_slots,
-            cols.prompt_len[run_slots] + (gen + k) + 1 - cols.shared_tokens[run_slots],
-        ):
-            return 0
-        cols.generated[run_slots] = gen + k
-        self.clock = float(clocks[k])
+        cols = self.columns
+        cols.generated[stretch.dec_slots] = stretch.gen0 + steps
+        if stretch.head >= 0:
+            cols.prefilled[stretch.head] = stretch.prefilled0 + stretch.chunk * steps
+        stretch.done = steps
+        if steps == cap:
+            self._stretch = None
+        self.clock = float(stretch.clocks[steps])
         self.iterations += k
+        self.peak_running = max(self.peak_running, len(self.running.ids))
         return k
+
+    def _price_stretch(self) -> Optional[_Stretch]:
+        """The stretch :meth:`decode_steps` may take from the current
+        state, priced over its whole window; None if there is none."""
+        cols, running = self.columns, self.running
+        slots = running.slots()
+        run_slots, run_alloc = slots
+        status = cols.status[run_slots]
+        decoding = status == _RUNNING_CODE
+        chunk = self.config.prefill_chunk
+        dec_slots, dec_alloc = run_slots, run_alloc
+        head, prefilled0, cap = -1, 0, None
+        if not decoding.all():
+            if chunk is None or not (decoding | (status == _PREFILLING_CODE)).all():
+                return None
+            # ``step`` advances the first PREFILLING member in admission
+            # order; stop one full chunk short of its last one.
+            h = int(np.argmin(decoding))
+            head = int(run_slots[h])
+            prefilled0 = int(cols.prefilled[head])
+            cap = (int(cols.prompt_len[head]) - prefilled0 - 1) // chunk
+            dec_pos = np.nonzero(decoding)[0]
+            dec_slots, dec_alloc = run_slots[dec_pos], run_alloc[dec_pos]
+        n = len(dec_slots)
+        gen = cols.generated[dec_slots]
+        if n:
+            if not cols.first_flag[dec_slots].all():
+                return None
+            # Stop one step short of the earliest finish.
+            last = int((cols.gen_len[dec_slots] - gen).min()) - 1
+            cap = last if cap is None else min(cap, last)
+        if cap < 1:
+            return None
+        # A decoder with no allocation, or one that still reads a shared
+        # prefix tail (copy-on-write is a first decode write), needs ``step``.
+        if n and (
+            dec_alloc.min() < 0
+            or (
+                self.prefix_pool is not None
+                and cols.shared_tail_tokens[dec_slots].any()
+            )
+        ):
+            return None
+
+        # ``step`` adds the prefill price to 0.0, then the decode price,
+        # then scales; 0.0 + x is x, so the sum starts at either price.
+        ctx = cols.prompt_len[dec_slots] + gen
+        times = None
+        if head >= 0:
+            bits = self.records[running.ids[h]].kv_bits
+            times = np.array([
+                self._prefill_latency(
+                    chunk, kv_len=prefilled0 + chunk * j, kv_bits=bits
+                )
+                for j in range(1, cap + 1)
+            ])
+        if n:
+            # The batch mean context advances by exactly one per step;
+            # ``step``'s context is ``max(int(mean_ctx), 1)``, and the
+            # means rise, so the window's ends bound the table lookup.
+            means = (int(ctx.sum()) + n * np.arange(cap, dtype=np.int64)) / n
+            bits_col = cols.kv_bits[dec_slots]
+            if np.isnan(bits_col).any():
+                mean_bits = None
+            else:
+                mean_bits = float(np.add.accumulate(bits_col)[-1]) / n
+            kv_lens = np.maximum(np.trunc(means), 1.0).astype(np.int64)
+            base, prices = self._decode_prices(
+                mean_bits, n, int(kv_lens[0]), int(kv_lens[-1])
+            )
+            decode = prices[kv_lens - base]
+            times = decode if times is None else times + decode
+        times *= self.time_scale
+        return _Stretch(
+            slots=slots,
+            time_scale=self.time_scale,
+            clocks=np.add.accumulate(np.concatenate(([self.clock], times))),
+            dec_slots=dec_slots,
+            dec_alloc=dec_alloc,
+            gen0=gen,
+            tokens0=ctx + 1 - cols.shared_tokens[dec_slots],
+            head=head,
+            prefilled0=prefilled0,
+            chunk=chunk,
+        )
+
+    def _grow_stretch(self, alloc_slots: np.ndarray, tokens: np.ndarray) -> bool:
+        """:meth:`~PagedKVAllocator.bulk_grow` for a stretch's decoders.
+
+        With a prefix pool, the growth must also leave allocator
+        utilization (``used_blocks / total_blocks``) at or under
+        ``evict_pressure``; utilization only rises during a stretch, so
+        then no step's eviction sweep evicts.  The free blocks above
+        that mark are held back from ``bulk_grow``, which refuses, with
+        nothing mutated, when the growth needs more than it is shown;
+        a batch already past the mark refuses even with nothing to grow.
+        """
+        alloc = self.allocator
+        total = alloc.total_blocks
+        if self.prefix_pool is None or not total:
+            return alloc.bulk_grow(alloc_slots, tokens)
+        mark = self.prefix_pool.config.evict_pressure
+        # The most used blocks whose utilization is at or under the mark,
+        # by ``PagedKVAllocator.utilization``'s own division.
+        most = min(int(mark * total), total)
+        while most < total and (most + 1) / total <= mark:
+            most += 1
+        while most > 0 and most / total > mark:
+            most -= 1
+        held = total - most
+        if held > alloc.free_blocks:
+            return False
+        alloc.free_blocks -= held
+        try:
+            return alloc.bulk_grow(alloc_slots, tokens)
+        finally:
+            alloc.free_blocks += held
 
     def summarize(self) -> ServingMetrics:
         """Aggregate the current records into operator metrics."""
@@ -1202,9 +1328,9 @@ class ServingEngine:
                 self.clock = events.next_time
                 continue
 
-            # Homogeneous decode stretches advance in bulk; the next
-            # offer bounds the jump so due offers still land between
-            # exactly the same steps as the scalar loop.
+            # Stretches that only price, grow and count advance in bulk;
+            # the next offer bounds the jump so due offers still land
+            # between exactly the same steps as the scalar loop.
             if self.decode_steps(events.next_time) == 0:
                 self.step()
 

@@ -5,13 +5,14 @@
 serving engine's decode pricing relies on: every lane of the array call
 is bit-identical to the scalar call, every lane of an engine's decode
 price tables is the scalar call's float, decode is priced only through
-those tables, and a bulk-advanced engine is indistinguishable from one
-that takes every step on its own.  Within a step, growing the decode
+those tables, and a bulk-advanced engine (chunked prefill, prefix pools
+and stretches continued across cuts included) is indistinguishable from
+one that takes every step on its own.  Within a step, growing the decode
 batch with one allocator commit ends in the same state as the scalar
 per-request loop.
 """
 
-from collections import Counter
+from collections import Counter, deque
 
 import numpy as np
 import pytest
@@ -22,14 +23,16 @@ from repro.perf.attention_costs import METHODS, AttentionGeometry
 from repro.perf.e2e import ModelGeometry
 from repro.perf.gpu import A100_80GB, H100_80GB
 from repro.perf.tp import decode_step_latency_batch, tp_step_latency
-from repro.prefix import PrefixCacheConfig
+from repro.prefix import PrefixCacheConfig, PrefixPool
 from repro.serving import (
     EngineConfig,
     PagedKVAllocator,
+    Request,
     ServingEngine,
     poisson_workload,
     zipf_shared_workload,
 )
+from repro.serving.request import RequestRecord, RequestStatus
 from repro.sim import ListTraceSink, trace_digest
 
 MODELS = {
@@ -382,7 +385,54 @@ class TestBatchedCommitMatchesScalarLoop:
             assert any(r.local_decode for r in batched.records.values())
 
 
-def _drive_local_fallbacks(engine, requests):
+def _advance(engine, t_limit):
+    """Advance as a fleet driver does up to ``t_limit`` (None: until
+    idle): a bulk stretch wherever ``decode_steps`` takes one, else one
+    ``step``."""
+    while engine.busy and (t_limit is None or engine.clock < t_limit):
+        if engine.decode_steps(t_limit) == 0:
+            engine.step()
+
+
+#: Spacing of the close ``t_limit`` cuts: about one step's price here,
+#: so most cuts fall inside a stretch and the next call continues it.
+CUT_S = 0.03
+
+
+def _drive_cuts(engine, requests, restored=(), change=None, cut_s=CUT_S):
+    """Open-loop run cut every ``cut_s`` seconds of engine time, as fleet
+    events cut an engine's stretches (None: only at arrivals).
+
+    Warm-restores ``restored`` first, submits each request at the first
+    cut at or after its arrival, and calls ``change(engine, cut, held)``
+    at each cut, where ``held`` lists the prefill pool's handoffs, kept
+    pinned until ``change`` resumes them as local decodes.  Returns the
+    ``(clock, iterations, free blocks, shared blocks)`` at each cut."""
+    engine.start()
+    for record in restored:
+        assert engine.restore_record(record)
+    pending, held, cuts = deque(requests), [], []
+    while pending or held or engine.busy:
+        while pending and pending[0].arrival_time <= engine.clock:
+            engine.submit(pending.popleft())
+        if cut_s is not None:
+            limit = engine.clock + cut_s
+        else:
+            limit = pending[0].arrival_time if pending else None
+        _advance(engine, limit)
+        held += [rec.request.request_id for rec in engine.take_handoffs()]
+        if limit is not None and (pending or held):
+            engine.advance_to(limit)  # idle until the next event
+        if change is not None:
+            change(engine, len(cuts) + 1, held)
+        alloc = engine.allocator
+        cuts.append(
+            (engine.clock, engine.iterations, alloc.free_blocks, alloc.shared_blocks)
+        )
+    return cuts
+
+
+def _drive_local_fallbacks(engine, requests, restored=()):
     """Prefill-pool run where every handoff falls back to local decode,
     advancing in bulk wherever ``decode_steps`` takes a stretch."""
     engine.start()
@@ -393,61 +443,291 @@ def _drive_local_fallbacks(engine, requests):
             engine.step()
         for rec in engine.take_handoffs():
             engine.resume_local_decode(rec.request.request_id)
-    return engine.summarize()
+    return []
+
+
+def _drive_closed_loop(engine, requests, restored=()):
+    engine.run(requests)
+    return []
+
+
+def _poisson(prompt_range):
+    return poisson_workload(
+        40, arrival_rate=4.0, prompt_range=prompt_range, gen_range=(96, 320),
+        rng=np.random.default_rng(31), n_sessions=8,
+    )
+
+
+def _restored_mid_prefill():
+    """Warm-restarted requests caught mid-prefill: 1,000 of 3,000 prompt
+    tokens in (not a multiple of the 256-token chunk, so the last chunk
+    is short), and 512 of 2,560 (whole chunks to go)."""
+    restored = []
+    for rid, prompt_len, prefilled in ((1000, 3000, 1000), (1001, 2560, 512)):
+        record = RequestRecord(Request(rid, 0.0, prompt_len=prompt_len, gen_len=200))
+        record.prefilled = prefilled
+        restored.append(record)
+    return restored
+
+
+def _cold_prefix_then_long_prompt():
+    """A one-token request leaves its 16-block prefix cached and cold;
+    a later 1,600-token prompt then fills a 40-block budget, past the
+    pool's 0.9 eviction mark, and prefills with no decoder beside it."""
+    return [
+        Request(
+            0, 0.0, prompt_len=1024, gen_len=1, prefix_id=1, shared_prefix_len=1024
+        ),
+        Request(1, 1.0, prompt_len=1600, gen_len=4),
+    ]
+
+
+#: ``id -> () -> (EngineConfig, requests, restored records, driver)``;
+#: a driver returns the engine's state at each cut (none for uncut ones).
+BULK_CASES = {
+    "shed-high-water": lambda: (
+        EngineConfig(shed_high_water=0.8, kv_budget_bytes=100 * BLOCK_BYTES),
+        _poisson((128, 1024)), [], _drive_closed_loop,
+    ),
+    "prefill-only-local": lambda: (
+        EngineConfig(prefill_only=True), _poisson((128, 1024)), [],
+        _drive_local_fallbacks,
+    ),
+    "prefill-only-chunked": lambda: (
+        EngineConfig(prefill_only=True, prefill_chunk=256),
+        _poisson((2048, 6144)), [], _drive_local_fallbacks,
+    ),
+    "unified-chunked": lambda: (
+        EngineConfig(prefill_chunk=256), _poisson((512, 4096)),
+        _restored_mid_prefill(), _drive_cuts,
+    ),
+    "pool-room": lambda: (
+        EngineConfig(prefix=POOL), _zipf(60, 7, gen=(64, 256)), [], _drive_cuts,
+    ),
+    "pool-tight": lambda: (
+        EngineConfig(prefix=POOL, kv_budget_bytes=150 * BLOCK_BYTES),
+        _zipf(100, 7, gen=(16, 128)), [], _drive_cuts,
+    ),
+    "pool-chunked-head": lambda: (
+        EngineConfig(prefix=POOL, kv_budget_bytes=40 * BLOCK_BYTES, prefill_chunk=128),
+        _cold_prefix_then_long_prompt(), [], _drive_cuts,
+    ),
+}
 
 
 def _bulk_case_run(case):
-    requests = poisson_workload(
-        40, arrival_rate=4.0, prompt_range=(128, 1024), gen_range=(96, 320),
-        rng=np.random.default_rng(31), n_sessions=8,
-    )
-    config = {
-        "shed-high-water": EngineConfig(
-            shed_high_water=0.8, kv_budget_bytes=100 * BLOCK_BYTES
-        ),
-        "prefill-only-local": EngineConfig(prefill_only=True),
-    }[case]
+    """Run one case; returns ``(engine, metrics, trace digest, state at
+    each cut, stretches)``, where each bulk call that advanced appends
+    ``(ids of the PREFILLING members, number of RUNNING members)`` as
+    they stood before it."""
+    config, requests, restored, drive = BULK_CASES[case]()
     sink = ListTraceSink()
     engine = ServingEngine(PHI3, METHODS["turbo4"], config, trace=sink)
-    bulk = []
+    stretches = []
     real = engine.decode_steps
 
     def counting(t_limit=None):
+        status = {rid: engine.records[rid].status for rid in engine.running}
         k = real(t_limit)
-        bulk.append(k)
+        if k:
+            stretches.append((
+                [r for r, s in status.items() if s is RequestStatus.PREFILLING],
+                sum(s is RequestStatus.RUNNING for s in status.values()),
+            ))
         return k
 
     engine.decode_steps = counting
-    if config.prefill_only:
-        metrics = _drive_local_fallbacks(engine, requests)
-    else:
-        metrics = engine.run(requests)
-    return engine, metrics, trace_digest(sink.records), sum(bulk)
+    cuts = drive(engine, requests, restored)
+    return engine, engine.summarize(), trace_digest(sink.records), cuts, stretches
+
+
+def _assert_same_end(a, b):
+    """Two ``(engine, metrics, trace digest, cuts, ...)`` runs ended, and
+    passed every cut, in the same state."""
+    engine, metrics, digest, cuts = a[:4]
+    ref, ref_metrics, ref_digest, ref_cuts = b[:4]
+    assert cuts == ref_cuts, "a cut found a different clock or allocator"
+    assert engine.clock == ref.clock
+    assert engine.iterations == ref.iterations
+    assert engine.peak_running == ref.peak_running
+    assert engine.records == ref.records
+    assert metrics == ref_metrics
+    assert digest == ref_digest
+    assert engine.allocator.free_blocks == ref.allocator.free_blocks
+    assert engine.allocator.shared_blocks == ref.allocator.shared_blocks
+    assert engine.allocator._allocs == ref.allocator._allocs
+    pool, ref_pool = engine.prefix_pool, ref.prefix_pool
+    if pool is not None:
+        assert pool.check_invariants() == ref_pool.check_invariants() == []
+        assert pool.resident_blocks == ref_pool.resident_blocks
+        assert pool.refcount_snapshot() == ref_pool.refcount_snapshot()
+        for counter in ("cow_copies", "evicted_blocks", "hits_tokens"):
+            assert getattr(pool, counter) == getattr(ref_pool, counter)
 
 
 class TestBulkDecodeUnderSheddingAndPrefillPools:
-    """High-water shedding and a prefill-only engine leave a decode
-    stretch to ``decode_steps``: with nothing queued there is nothing to
-    shed, and a prefill pool's running batch holds only local-decode
-    fallbacks between steps.  Each bulk run ends exactly where advancing
-    one ``step`` at a time does."""
+    """High-water shedding, prefill pools, chunked prefill and prefix
+    pools leave stretches to ``decode_steps``: with nothing queued there
+    is nothing to shed, a prefill pool's running batch holds only
+    local-decode fallbacks between steps, a prefilling head gains one
+    chunk per step while decoders decode beside it, and a pool with
+    headroom and no shared decode tail does nothing.  Each bulk run ends,
+    and passes every cut, exactly where advancing one ``step`` at a time
+    does."""
 
-    @pytest.mark.parametrize("case", ["shed-high-water", "prefill-only-local"])
+    @pytest.mark.parametrize("case", list(BULK_CASES))
     def test_identical_to_per_step_advancing(self, case, monkeypatch):
-        bulk, bulk_metrics, bulk_digest, bulk_steps = _bulk_case_run(case)
-        monkeypatch.setattr(ServingEngine, "decode_steps", lambda self, t_limit=None: 0)
-        loop, loop_metrics, loop_digest, loop_steps = _bulk_case_run(case)
+        real_sweep = PrefixPool.evict_under_pressure
+        swept = []
 
-        assert bulk_steps > 0, "no bulk stretch was taken"
-        assert loop_steps == 0
-        assert bulk.clock == loop.clock
-        assert bulk.iterations == loop.iterations
-        assert bulk.records == loop.records
-        assert bulk_metrics == loop_metrics
-        assert bulk_digest == loop_digest
-        assert bulk.allocator.free_blocks == loop.allocator.free_blocks
-        assert bulk.allocator._allocs == loop.allocator._allocs
+        def sweep(pool):
+            swept.append(real_sweep(pool))
+            return swept[-1]
+
+        monkeypatch.setattr(PrefixPool, "evict_under_pressure", sweep)
+        bulk = _bulk_case_run(case)
+        bulk_swept, swept[:] = sum(swept), []
+        monkeypatch.setattr(ServingEngine, "decode_steps", lambda self, t_limit=None: 0)
+        loop = _bulk_case_run(case)
+
+        engine, stretches = bulk[0], bulk[4]
+        assert stretches, "no bulk stretch was taken"
+        assert loop[4] == []
+        _assert_same_end(bulk, loop)
+        assert bulk_swept == sum(swept)
         if case == "shed-high-water":
-            assert bulk.high_water_sheds == loop.high_water_sheds > 0
-        else:
-            assert all(r.local_decode for r in bulk.records.values())
+            assert engine.high_water_sheds == loop[0].high_water_sheds > 0
+        if case.startswith("prefill-only"):
+            assert all(r.local_decode for r in engine.records.values())
+        if case.endswith("-chunked"):
+            assert any(head and n_dec for head, n_dec in stretches), (
+                "no chunk stretch decoded beside a prefilling head"
+            )
+        if case == "unified-chunked":
+            for rid in (1000, 1001):
+                assert any(rid in head for head, _n_dec in stretches)
+                record = engine.records[rid]
+                assert record.prefilled == record.request.prompt_len
+        if case in ("pool-tight", "pool-chunked-head"):
+            assert bulk_swept > 0, "the eviction sweep never evicted"
+        if case == "pool-chunked-head":
+            assert any(head and not n_dec for head, n_dec in stretches)
+
+
+class TestStretchGrowthHeadroom:
+    """A prefix-pooled engine's stretch grows its decoders only while
+    allocator utilization, ``used_blocks / total_blocks``, ends at or
+    under ``evict_pressure``: each growth either lands exactly as
+    ``bulk_grow`` would or leaves the allocator untouched."""
+
+    @pytest.mark.parametrize("blocks", [7, 10, 33])
+    @pytest.mark.parametrize("pressure", [0.5, 0.9, 1.0])
+    def test_growth_stops_at_the_eviction_mark(self, blocks, pressure):
+        config = EngineConfig(
+            prefix=PrefixCacheConfig(evict_pressure=pressure),
+            kv_budget_bytes=blocks * BLOCK_BYTES,
+        )
+        engine = ServingEngine(PHI3, METHODS["turbo4"], config)
+        alloc = engine.allocator
+        assert alloc.total_blocks == blocks
+        assert alloc.grow(0, 1)
+        slot = np.array([alloc.slot_of(0)])
+        grown = refused = 0
+        for tokens in range(1, 64 * blocks + 65, 16):
+            need = alloc.blocks_needed(0, tokens)
+            fits = (alloc.used_blocks + need) / blocks <= pressure
+            free, allocs = alloc.free_blocks, alloc._allocs
+            assert engine._grow_stretch(slot, np.array([tokens])) is fits
+            if fits:
+                assert alloc.free_blocks == free - need
+                assert alloc._allocs[0].tokens == tokens
+                grown += need > 0
+            else:
+                assert (alloc.free_blocks, alloc._allocs) == (free, allocs)
+                refused += 1
+        assert grown and refused
+        # Filled past the mark, a stretch with nothing to grow refuses too.
+        assert alloc.grow(1, 64 * alloc.free_blocks)
+        empty = np.empty(0, dtype=np.int64)
+        assert engine._grow_stretch(empty, empty) is (pressure == 1.0)
+
+
+class TestResumedStretch:
+    """A stretch that a ``t_limit`` cut short is continued by the next
+    ``decode_steps`` call from its priced clock trajectory.  Cut at many
+    close limits, with the batch's membership, ``time_scale`` or state
+    changed between the pieces, an engine ends, and passes every cut,
+    exactly as one advanced a ``step`` at a time does."""
+
+    @staticmethod
+    def _change(variant, seen):
+        """``variant``'s change at a cut, between two pieces of a stretch.
+        ``seen`` counts the cuts that left a stretch kept, and the changes
+        made while one was."""
+
+        def change(engine, cut, held):
+            kept = engine._stretch is not None
+            seen["kept"] += kept
+            if variant == "stall":
+                # A stall, then its end four cuts later: two time_scale
+                # changes.
+                if cut % 4:
+                    return
+                engine.time_scale = 2.5 if cut % 8 else 1.0
+            elif cut % 5:
+                return
+            elif variant == "cancel" and len(engine.running) > 1:
+                engine.cancel(engine.running.ids[-1])
+            elif variant == "resume-local" and held:
+                for rid in held:
+                    engine.resume_local_decode(rid)
+                held.clear()
+            elif variant == "submit" and cut < 100:
+                engine.submit(
+                    Request(100 + cut, engine.clock, prompt_len=700, gen_len=40)
+                )
+            elif variant == "step" and engine.busy:
+                engine.step()
+            else:
+                return
+            seen["changed"] += kept
+
+        return change
+
+    def _run(self, variant, cut_s):
+        config = EngineConfig(prefill_chunk=256, prefill_only=variant == "resume-local")
+        sink = ListTraceSink()
+        engine = ServingEngine(PHI3, METHODS["turbo4"], config, trace=sink)
+        # Everything arrives at once: short prompts decode while long
+        # ones prefill chunk by chunk behind them.
+        requests = [
+            Request(r.request_id, 0.0, r.prompt_len, r.gen_len)
+            for r in poisson_workload(
+                8, arrival_rate=1.0, prompt_range=(512, 3072),
+                gen_range=(64, 256), rng=np.random.default_rng(5),
+            )
+        ]
+        seen = Counter()
+        cuts = _drive_cuts(
+            engine, requests, change=self._change(variant, seen), cut_s=cut_s
+        )
+        return engine, engine.summarize(), trace_digest(sink.records), cuts, seen
+
+    @pytest.mark.parametrize(
+        "variant", ["none", "stall", "cancel", "resume-local", "submit", "step"]
+    )
+    def test_cut_stretches_end_as_per_step_advancing(self, variant, monkeypatch):
+        pieces = self._run(variant, CUT_S)
+        if variant == "none":
+            uncut = self._run(variant, None)
+            assert len(uncut[3]) == 1
+            _assert_same_end(pieces[:3] + uncut[3:], uncut)
+        monkeypatch.setattr(ServingEngine, "decode_steps", lambda self, t_limit=None: 0)
+        loop = self._run(variant, CUT_S)
+
+        _assert_same_end(pieces, loop)
+        seen = pieces[4]
+        assert len(pieces[3]) > 50
+        assert seen["kept"] > 0, "no cut left a stretch to continue"
+        if variant != "none":
+            assert seen["changed"] > 0, "no change found a cut stretch kept"

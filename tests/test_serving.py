@@ -405,6 +405,11 @@ class TestChunkedPrefill:
         # Throughput cost of chunking stays modest.
         assert chunked.throughput_tokens_per_s > 0.7 * plain.throughput_tokens_per_s
 
+    @pytest.mark.parametrize("chunk", [0, -5])
+    def test_chunk_below_one_is_rejected(self, chunk):
+        with pytest.raises(ValueError, match="prefill_chunk"):
+            EngineConfig(prefill_chunk=chunk)
+
     def test_tiny_chunks_still_terminate(self, model):
         cfg = EngineConfig(prefill_chunk=64)
         reqs = poisson_workload(5, arrival_rate=3.0, rng=np.random.default_rng(1))
