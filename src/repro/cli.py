@@ -16,6 +16,7 @@
     python -m repro profile cluster
     python -m repro profile recover
     python -m repro profile prefix
+    python -m repro profile disagg
 
 Everything the CLI prints is produced by the same library calls the tests
 and benchmarks exercise; the CLI adds no logic of its own.
@@ -327,6 +328,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         "cluster": speed.bench_cluster,
         "recover": lambda: speed.bench_recover(repeats=1),
         "prefix": lambda: speed.bench_prefix(repeats=1),
+        "disagg": lambda: speed.bench_disagg(repeats=1),
     }
     profiler = cProfile.Profile()
     profiler.enable()
@@ -528,7 +530,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_pr.add_argument(
         "scenario",
-        choices=["prefill", "decode", "engine", "cluster", "recover", "prefix"],
+        choices=[
+            "prefill", "decode", "engine", "cluster", "recover", "prefix", "disagg",
+        ],
     )
     p_pr.add_argument("--top", type=int, default=20, help="rows to print")
     p_pr.set_defaults(fn=_cmd_profile)

@@ -1,7 +1,7 @@
 """Pinned wall-clock speed trajectory for the kernels and simulators.
 
 Accuracy experiments pin their *numbers* with golden files; this module
-pins the *speed* the repo produces them at.  Six scenarios cover the
+pins the *speed* the repo produces them at.  Seven scenarios cover the
 layers the hot loops live in:
 
 * ``prefill`` / ``decode`` — the attention kernels themselves (one long
@@ -18,10 +18,17 @@ layers the hot loops live in:
   only when a restart reads a corrupt epoch;
 * ``prefix`` — three prefix-pooled replicas behind the ``affinity``
   router on Zipf-shared tenant prompts: pool reads, inserts,
-  copy-on-write and the batched decode commit of pooled engines.
+  copy-on-write and the batched decode commit of pooled engines;
+* ``disagg`` — a 2P+2D disaggregated fleet with chunked prefill,
+  corrupted handoffs and link stalls: chunked-prefill stretches,
+  migration, payload verification and salvage.
 
-``recover`` and ``prefix`` are reported but not gated: they have no
-:data:`PRE_PR` denominator and no committed baseline yet.
+``recover``, ``prefix`` and ``disagg`` are reported but not gated: the
+gate checks only :data:`GATED_METRICS`, each of which has a
+:data:`PRE_PR` denominator.  The committed baseline carries
+``recover``'s and ``prefix``'s rows but none for ``disagg``, which runs
+last so that every other scenario's probes sit where the baseline's
+did.
 
 Wall-clock numbers are machine-dependent, so the regression gate never
 compares raw seconds across machines: every run also times a fixed
@@ -51,7 +58,7 @@ from typing import Callable, Dict, List, Tuple
 
 import numpy as np
 
-from repro.cluster import ClusterConfig, ClusterSimulator, FaultConfig
+from repro.cluster import ClusterConfig, ClusterSimulator, DisaggConfig, FaultConfig
 from repro.core.config import TurboConfig
 from repro.core.decode import turbo_decode_steps
 from repro.core.prefill import turbo_prefill
@@ -71,6 +78,7 @@ __all__ = [
     "PRE_PR",
     "bench_cluster",
     "bench_decode",
+    "bench_disagg",
     "bench_engine",
     "bench_prefill",
     "bench_prefix",
@@ -266,6 +274,30 @@ def bench_prefix(quick: bool = False, repeats: int = 3) -> Dict[str, float]:
     return {"prefix_wall_s": best, "prefix_rps": n_req / best}
 
 
+def bench_disagg(quick: bool = False, repeats: int = 3) -> Dict[str, float]:
+    """A 2P+2D disaggregated fleet: chunked prefill, corrupted handoffs
+    and link stalls."""
+    n_req = 80 if quick else 300
+    requests = poisson_workload(
+        n_req, arrival_rate=1.0, prompt_range=(2048, 6144),
+        gen_range=(128, 512), rng=np.random.default_rng(9),
+    )
+    config = ClusterConfig(
+        policy="least_kv", engine=EngineConfig(prefill_chunk=256),
+        faults=FaultConfig(seed=3, migration_corrupt_rate=0.12, link_stall_rate=0.02),
+        disagg=DisaggConfig(n_prefill=2, n_decode=2),
+    )
+    best = float("inf")
+    for _ in range(max(1, repeats)):
+        sim = ClusterSimulator(MODEL, METHODS["turbo4"], config)
+        t0 = time.perf_counter()
+        metrics = sim.run(requests)
+        best = min(best, time.perf_counter() - t0)
+        total = metrics.completed + metrics.failed + metrics.rejected + metrics.shed
+        assert total == n_req
+    return {"disagg_wall_s": best, "disagg_rps": n_req / best}
+
+
 def run_speed_suite(quick: bool = False) -> Dict[str, float]:
     """Run every scenario; returns one flat metric dict plus the probes.
 
@@ -280,6 +312,7 @@ def run_speed_suite(quick: bool = False) -> Dict[str, float]:
         ("cluster", bench_cluster),
         ("recover", bench_recover),
         ("prefix", bench_prefix),
+        ("disagg", bench_disagg),
     )
     out: Dict[str, float] = {"quick": bool(quick)}
     probes = [calibrate()]

@@ -14,7 +14,8 @@ import pytest
 from repro.cli import main
 from repro.perf import speed
 from repro.prefix import PrefixPool
-from repro.serving import PagedKVAllocator
+from repro.serving import PagedKVAllocator, ServingEngine
+from repro.serving.request import RequestStatus
 
 
 @pytest.fixture(scope="module")
@@ -68,6 +69,39 @@ class TestScenarios:
         assert calls["decode_commit"] > 0
         assert calls["acquire"] > 0
 
+    def test_disagg_scenario_reports_wall_and_rate(self, quick_suite):
+        assert quick_suite["disagg_wall_s"] > 0
+        assert quick_suite["disagg_rps"] == pytest.approx(
+            80 / quick_suite["disagg_wall_s"]
+        )
+        assert quick_suite["disagg_probe_s"] > 0
+
+    def test_disagg_scenario_reaches_salvage_and_chunk_stretches(self, monkeypatch):
+        import repro.cluster.simulator as simulator
+
+        received, chunk_stretches = [], []
+        real_receive = simulator.receive_payload
+        real_steps = ServingEngine.decode_steps
+
+        def receive(*args, **kwargs):
+            received.append(1)
+            return real_receive(*args, **kwargs)
+
+        def steps(self, t_limit=None):
+            prefilling = any(
+                self.records[rid].status is RequestStatus.PREFILLING
+                for rid in self.running
+            )
+            k = real_steps(self, t_limit)
+            chunk_stretches.append(bool(k and prefilling))
+            return k
+
+        monkeypatch.setattr(simulator, "receive_payload", receive)
+        monkeypatch.setattr(ServingEngine, "decode_steps", steps)
+        speed.bench_disagg(quick=True, repeats=1)
+        assert received, "no corrupted handoff was received"
+        assert any(chunk_stretches), "no chunked-prefill stretch was taken"
+
     def test_pre_pr_records_every_gated_metric(self):
         for name, _direction in speed.GATED_METRICS:
             assert name in speed.PRE_PR
@@ -115,7 +149,7 @@ class TestGate:
         # A cold or contended first probe at 4x the baseline's once scaled
         # every expectation by 4x; each scenario now takes the faster of
         # the probes around it, so a prefill 4x slower than baseline fails.
-        probes = iter([0.20] + [0.05] * 6)
+        probes = iter([0.20] + [0.05] * 7)
         monkeypatch.setattr(speed, "calibrate", lambda: next(probes))
         fake = {
             "prefill": {"prefill_s": 0.40},
@@ -124,6 +158,7 @@ class TestGate:
             "cluster": {"cluster_rps": 500.0},
             "recover": {"recover_wall_s": 1.0},
             "prefix": {"prefix_wall_s": 1.0},
+            "disagg": {"disagg_wall_s": 1.0},
         }
         for name, metrics in fake.items():
             monkeypatch.setattr(speed, f"bench_{name}", lambda quick, m=metrics: dict(m))
@@ -201,6 +236,10 @@ class TestCli:
     def test_profile_prefix_runs_the_pooled_fleet(self, capsys):
         assert main(["profile", "prefix", "--top", "5"]) == 0
         assert "bench_prefix" in capsys.readouterr().out
+
+    def test_profile_disagg_runs_the_disaggregated_fleet(self, capsys):
+        assert main(["profile", "disagg", "--top", "5"]) == 0
+        assert "bench_disagg" in capsys.readouterr().out
 
     def test_profile_recover_reaches_take_snapshot(self, capsys):
         assert main(["profile", "recover", "--top", "40"]) == 0
